@@ -1,15 +1,228 @@
-// Ablation C: iteration-partitioning rule. Section 4.3 of the paper argues
-// that the owner-computes rule forces communication even in loops with no
+// Ablation C: iteration partitioning.
+//
+// Part 1, iteration placement. Section 4.3 of the paper argues that the
+// owner-computes rule forces communication even in loops with no
 // loop-carried dependences, and proposes placing each iteration on the
-// process owning MOST of its references. This bench measures executor time
+// process owning MOST of its references. This part measures executor time
 // and communication volume of loop L2 under both rules.
+//
+// Part 2, the no-reuse rebuild (the paper's Table 1 "no reuse" column): on
+// the 53K mesh, RCB-partitioned, a retained EdgeLoopPlan is rebuilt in place
+// — partition_iterations through the plan's own InspectorWorkspace,
+// apply_remap of both endpoint arrays, localize_many — as a no-reuse
+// pipeline does every sweep. Per row it reports host wall time per rebuild
+// (median and IQR over kRepeats), modeled time per rebuild, and heap
+// allocations per warm rebuild per rank. Gates (exit 1 on failure):
+//   - modeled time per rebuild equals the golden value recorded before the
+//     rebuild path moved onto flat exchanges, bit for bit;
+//   - allocations per warm rebuild per rank stay at or under
+//     kMaxAllocsPerRebuild. A rebuild must still allocate what it returns
+//     (the iteration Distribution and its translation table, the RemapPlan,
+//     the two remapped endpoint arrays) plus each exchange's CSR staging;
+//     the dedup table, the dereference scratch and the schedule are the
+//     plan's and are reused.
+// Results go to BENCH_iter_partition.json.
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <thread>
+#include <vector>
 
 #include "bench/common.hpp"
 
+// --- global allocation counter ----------------------------------------------
+
+namespace {
+std::atomic<long long> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace bench = chaos::bench;
+namespace rt = chaos::rt;
+namespace dist = chaos::dist;
 namespace core = chaos::core;
 using chaos::f64;
+using chaos::i64;
+using chaos::u64;
+
+namespace {
+
+constexpr int kWarmup = 2;
+constexpr int kRepeats = 7;
+constexpr f64 kMaxAllocsPerRebuild = 64.0;
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
+
+/// Modeled microseconds per rebuild (max over ranks), recorded before the
+/// rebuild path moved onto flat exchanges; stored as IEEE bit patterns.
+struct Golden {
+  int procs;
+  u64 modeled_us_bits;
+};
+constexpr Golden kGolden[] = {
+    {2, 0x415525a9dc28f5c2ull},
+    {16, 0x413c5bd551eb851dull},
+};
+
+struct RebuildRow {
+  int procs = 0;
+  f64 wall_ms_median = 0.0;
+  f64 wall_ms_iqr = 0.0;
+  f64 modeled_ms = 0.0;
+  f64 golden_ms = 0.0;
+  bool modeled_matches = false;
+  bool modeled_steady = true;  // every repeat charged the same
+  f64 allocs_per_rebuild_per_rank = 0.0;
+};
+
+/// Per-rank state that outlives the machine runs: the inputs and the
+/// retained plan.
+struct RankState {
+  std::shared_ptr<const dist::Distribution> edges, data;
+  std::vector<i64> e1, e2;
+  core::EdgeLoopPlan plan;
+};
+
+f64 quantile(std::vector<f64> v, f64 q) {
+  std::sort(v.begin(), v.end());
+  const f64 at = q * static_cast<f64>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (at - static_cast<f64>(lo));
+}
+
+/// One no-reuse re-inspection into the retained plan.
+void rebuild(rt::Process& p, RankState& s) {
+  core::EdgeLoopPlan& plan = s.plan;
+  plan.build.begin_build();
+  const std::span<const i64> batches[] = {s.e1, s.e2};
+  plan.iters = core::partition_iterations(p, *s.edges, *s.data, batches,
+                                          plan.iws);
+  plan.end1 = dist::apply_remap<i64>(p, plan.iters.remap, s.e1);
+  plan.end2 = dist::apply_remap<i64>(p, plan.iters.remap, s.e2);
+  const std::span<const i64> remapped[] = {plan.end1, plan.end2};
+  core::localize_many(p, *s.data, remapped, plan.iws, plan.loc);
+  plan.build.mark_built();
+}
+
+RebuildRow run_rebuild(const bench::Workload& w, int procs) {
+  rt::Machine& machine = bench::pooled_machine(procs);
+  std::vector<RankState> ranks(static_cast<std::size_t>(procs));
+  machine.run([&](rt::Process& p) {
+    RankState& s = ranks[static_cast<std::size_t>(p.rank())];
+    const auto reg = dist::Distribution::block(p, w.nnodes);
+    s.edges = dist::Distribution::block(p, w.nedges);
+    for (i64 l = 0; l < s.edges->my_local_size(); ++l) {
+      const auto e = static_cast<std::size_t>(s.edges->my_global_of(l));
+      s.e1.push_back(w.e1[e]);
+      s.e2.push_back(w.e2[e]);
+    }
+    std::vector<f64> xc, yc, zc;
+    for (i64 l = 0; l < reg->my_local_size(); ++l) {
+      const auto g = static_cast<std::size_t>(reg->my_global_of(l));
+      xc.push_back(w.cx[g]);
+      yc.push_back(w.cy[g]);
+      zc.push_back(w.cz[g]);
+    }
+    core::GeoColBuilder builder(p, reg);
+    const std::span<const f64> coords[] = {xc, yc, zc};
+    builder.geometry(coords);
+    s.data = core::set_by_partitioning(p, *builder.build(), "RCB");
+  });
+
+  RebuildRow row;
+  row.procs = procs;
+  std::vector<f64> wall_ms;
+  f64 first_modeled_us = -1.0;
+  long long warm_allocs = 0;
+  for (int rep = 0; rep < kWarmup + kRepeats; ++rep) {
+    const long long allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    machine.run([&](rt::Process& p) {
+      rebuild(p, ranks[static_cast<std::size_t>(p.rank())]);
+    });
+    const auto t1 = std::chrono::steady_clock::now();
+    const long long allocs1 = g_heap_allocs.load(std::memory_order_relaxed);
+    const f64 modeled_us = machine.max_virtual_time_us();
+    if (first_modeled_us < 0.0) first_modeled_us = modeled_us;
+    row.modeled_steady =
+        row.modeled_steady && std::bit_cast<u64>(modeled_us) ==
+                                  std::bit_cast<u64>(first_modeled_us);
+    if (rep < kWarmup) continue;
+    wall_ms.push_back(
+        std::chrono::duration<f64, std::milli>(t1 - t0).count());
+    warm_allocs += allocs1 - allocs0;
+  }
+  row.wall_ms_median = quantile(wall_ms, 0.5);
+  row.wall_ms_iqr = quantile(wall_ms, 0.75) - quantile(wall_ms, 0.25);
+  row.modeled_ms = first_modeled_us * 1e-3;
+  row.allocs_per_rebuild_per_rank =
+      static_cast<f64>(warm_allocs) / (kRepeats * procs);
+  for (const Golden& g : kGolden) {
+    if (g.procs != procs) continue;
+    row.golden_ms = std::bit_cast<f64>(g.modeled_us_bits) * 1e-3;
+    row.modeled_matches =
+        std::bit_cast<u64>(first_modeled_us) == g.modeled_us_bits;
+  }
+  if (!row.modeled_matches) {  // what a deliberate re-baseline would record
+    std::printf("modeled bits P=%d: 0x%016llx\n", procs,
+                static_cast<unsigned long long>(
+                    std::bit_cast<u64>(first_modeled_us)));
+  }
+  return row;
+}
+
+bool write_json(const std::vector<RebuildRow>& rows) {
+  std::FILE* f = std::fopen("BENCH_iter_partition.json", "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open BENCH_iter_partition.json\n");
+    return false;
+  }
+  std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"bench\": \"iter_partition_rebuild\",\n");
+  std::fprintf(f, "  \"workload\": \"53K mesh, RCB, no schedule reuse\",\n");
+  std::fprintf(f, "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), kCompiler);
+  std::fprintf(f, "  \"repeats\": %d,\n", kRepeats);
+  std::fprintf(f, "  \"max_allocs_per_rebuild_per_rank\": %.0f,\n",
+               kMaxAllocsPerRebuild);
+  std::fprintf(f, "  \"rows\": [\n");
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const RebuildRow& r = rows[k];
+    std::fprintf(f,
+                 "    {\"procs\": %d, \"wall_ms_median\": %.3f, "
+                 "\"wall_ms_iqr\": %.3f, \"modeled_ms\": %.17g, "
+                 "\"golden_modeled_ms\": %.17g, \"modeled_matches\": %s, "
+                 "\"allocs_per_rebuild_per_rank\": %.2f}%s\n",
+                 r.procs, r.wall_ms_median, r.wall_ms_iqr, r.modeled_ms,
+                 r.golden_ms, r.modeled_matches ? "true" : "false",
+                 r.allocs_per_rebuild_per_rank,
+                 k + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  return true;
+}
+
+}  // namespace
 
 int main() {
   std::printf("Ablation C: iteration placement — almost-owner-computes "
@@ -45,5 +258,46 @@ int main() {
   std::printf("\nshape check: the majority rule never moves MORE data than "
               "owner-computes; the gap is the off-process references "
               "owner-computes forces through the first-reference owner.\n");
-  return 0;
+
+  std::printf("\nNo-reuse rebuild, 53K mesh, RCB: partition_iterations + "
+              "apply_remap x2 + localize_many into a retained plan\n");
+  std::printf("%5s | %12s %10s | %14s %8s | %12s\n", "procs", "wall ms p50",
+              "wall IQR", "modeled ms", "golden", "allocs/rank");
+  const auto mesh53 = bench::workload_mesh_53k();
+  std::vector<RebuildRow> rows;
+  for (const int procs : {2, 16}) {
+    rows.push_back(run_rebuild(mesh53, procs));
+    const RebuildRow& r = rows.back();
+    std::printf("%5d | %12.2f %10.2f | %14.6f %8s | %12.2f\n", r.procs,
+                r.wall_ms_median, r.wall_ms_iqr, r.modeled_ms,
+                r.modeled_matches ? "equal" : "DIFFERS",
+                r.allocs_per_rebuild_per_rank);
+    std::fflush(stdout);
+  }
+  if (write_json(rows)) std::printf("\nwrote BENCH_iter_partition.json\n");
+
+  bool ok = true;
+  for (const RebuildRow& r : rows) {
+    if (!r.modeled_steady) {
+      std::fprintf(stderr, "GATE FAILED: P=%d modeled time varies between "
+                           "repeats\n", r.procs);
+      ok = false;
+    }
+    if (!r.modeled_matches) {
+      std::fprintf(stderr,
+                   "GATE FAILED: P=%d modeled %.17g ms differs from the "
+                   "golden %.17g ms\n",
+                   r.procs, r.modeled_ms, r.golden_ms);
+      ok = false;
+    }
+    if (r.allocs_per_rebuild_per_rank > kMaxAllocsPerRebuild) {
+      std::fprintf(stderr,
+                   "GATE FAILED: P=%d %.2f allocations per warm rebuild per "
+                   "rank > %.0f\n",
+                   r.procs, r.allocs_per_rebuild_per_rank,
+                   kMaxAllocsPerRebuild);
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

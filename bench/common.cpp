@@ -151,7 +151,7 @@ PhaseResult run_hand_pipeline(int procs, const Workload& w,
         rt::ClockSection t(p.clock());
         const std::span<const i64> batches[] = {e1, e2};
         plan.iters = core::partition_iterations(
-            p, *reg2, *data_dist, batches, cfg.iter_rule,
+            p, *reg2, *data_dist, batches, plan.iws, cfg.iter_rule,
             cfg.ttable_page_size);
         plan.end1 = dist::apply_remap<i64>(p, plan.iters.remap, e1);
         plan.end2 = dist::apply_remap<i64>(p, plan.iters.remap, e2);

@@ -34,7 +34,8 @@ std::shared_ptr<EdgeLoopPlan> EdgeReductionLoop::inspect(
 
   // Phase B: iteration partition from the references' homes.
   const std::span<const i64> batches[] = {ept1, ept2};
-  plan->iters = partition_iterations(p, edge_dist, data_dist, batches, rule);
+  plan->iters =
+      partition_iterations(p, edge_dist, data_dist, batches, plan->iws, rule);
 
   // Phase C (iteration side): remap the indirection slices so each process
   // holds the endpoints of the iterations it will execute.
@@ -109,7 +110,8 @@ std::shared_ptr<SingleStatementPlan> SingleStatementLoop::inspect(
   // When x and y are aligned (the common case) this is exactly the paper's
   // most-local-references rule over all three references.
   const std::span<const i64> batches[] = {ia, ib, ic};
-  plan->iters = partition_iterations(p, iter_dist, x_dist, batches, rule);
+  plan->iters =
+      partition_iterations(p, iter_dist, x_dist, batches, plan->iws, rule);
 
   plan->ia = dist::apply_remap<i64>(p, plan->iters.remap, ia);
   plan->ib = dist::apply_remap<i64>(p, plan->iters.remap, ib);

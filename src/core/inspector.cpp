@@ -9,10 +9,10 @@ namespace chaos::core {
 namespace detail {
 
 i64 dedup_batches(InspectorWorkspace& ws,
-                  std::span<const std::span<const i64>> batches) {
+                  std::span<const std::span<const i64>> batches, i64 extent) {
   std::size_t total = 0;
   for (const auto& b : batches) total += b.size();
-  ws.begin(total);
+  ws.begin(total, extent);
   std::size_t cursor = 0;
   for (const auto& b : batches) {
     for (const i64 g : b) {
@@ -21,6 +21,14 @@ i64 dedup_batches(InspectorWorkspace& ws,
   }
   ws.last_distinct_ = static_cast<i64>(ws.distinct_.size());
   return ws.last_distinct_;
+}
+
+std::span<const dist::Entry> locate_distinct(rt::Process& p,
+                                             const dist::Distribution& d,
+                                             InspectorWorkspace& ws) {
+  d.locate_into(p, ws.distinct_globals(), ws.entries_, ws.deref_ws_,
+                ws.last_total_ - ws.last_distinct_, /*queries_distinct=*/true);
+  return ws.entries_;
 }
 
 // Ghost slots are per-owner contiguous, owners ascending, within an owner
@@ -93,7 +101,7 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
   // Phase 1: collapse duplicate globals. Batches are walked directly — no
   // flattening copy for any batch count, single-batch included — and each
   // position records the distinct ordinal of its global.
-  const i64 distinct = dedup_batches(ws, batches);
+  const i64 distinct = dedup_batches(ws, batches, d.size());
   const auto total = static_cast<std::size_t>(ws.last_total_);
 
   // Phase 2: resolve the distinct globals to (owner, local) entries — ONE
@@ -135,7 +143,8 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
         d.locate_flat_into(p, ws.miss_globals_, ws.miss_entries_,
                            ws.deref_ws_);
       } else {
-        d.locate_into(p, ws.miss_globals_, ws.miss_entries_);
+        d.locate_into(p, ws.miss_globals_, ws.miss_entries_, ws.deref_ws_, 0,
+                      /*queries_distinct=*/true);
       }
       for (std::size_t j = 0; j < ws.miss_ids_.size(); ++j) {
         const auto k = static_cast<std::size_t>(ws.miss_ids_[j]);
@@ -157,8 +166,9 @@ void localize_into(rt::Process& p, const dist::Distribution& d,
       d.locate_flat_into(p, ws.distinct_, ws.entries_, ws.deref_ws_,
                          static_cast<i64>(total) - distinct);
     } else {
-      d.locate_into(p, ws.distinct_, ws.entries_,
-                    static_cast<i64>(total) - distinct);
+      d.locate_into(p, ws.distinct_, ws.entries_, ws.deref_ws_,
+                    static_cast<i64>(total) - distinct,
+                    /*queries_distinct=*/true);
     }
   }
 
@@ -222,7 +232,7 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
   const i64 nlocal = d.my_local_size();
 
   // Phase R1: dedup the NEW reference set (identical front half).
-  const i64 distinct = dedup_batches(ws, batches);
+  const i64 distinct = dedup_batches(ws, batches, d.size());
   const auto total = static_cast<std::size_t>(ws.last_total_);
 
   // Phase R2: hard eligibility, checked per rank. A snapshot from another
@@ -299,7 +309,8 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
         d.locate_flat_into(p, ws.miss_globals_, ws.miss_entries_,
                            ws.deref_ws_);
       } else {
-        d.locate_into(p, ws.miss_globals_, ws.miss_entries_);
+        d.locate_into(p, ws.miss_globals_, ws.miss_entries_, ws.deref_ws_, 0,
+                      /*queries_distinct=*/true);
       }
       for (std::size_t j = 0; j < ws.miss_ids_.size(); ++j) {
         const auto k = static_cast<std::size_t>(ws.miss_ids_[j]);
@@ -316,7 +327,8 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
       d.locate_flat_into(p, ws.novel_globals_, ws.novel_entries_,
                          ws.deref_ws_);
     } else {
-      d.locate_into(p, ws.novel_globals_, ws.novel_entries_);
+      d.locate_into(p, ws.novel_globals_, ws.novel_entries_, ws.deref_ws_, 0,
+                    /*queries_distinct=*/true);
     }
     for (std::size_t j = 0; j < ws.novel_ids_.size(); ++j) {
       ws.entries_[static_cast<std::size_t>(ws.novel_ids_[j])] =

@@ -18,6 +18,7 @@
 // needs a warm TranslationCache to keep the locate round miss-free).
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -85,9 +86,20 @@ bool repair_into(rt::Process& p, const dist::Distribution& d,
 /// dedup table: fills the per-position ordinal map and the distinct arena
 /// (first-occurrence order) and returns the distinct count. The shared front
 /// half of localize, also used by partition_iterations to dedup its
-/// reference batches before the owner locate.
+/// reference batches before the owner locate. @p extent is the global size
+/// of the distribution the batches index; no more than that many globals
+/// can be distinct, so it caps the table's size.
 i64 dedup_batches(InspectorWorkspace& ws,
-                  std::span<const std::span<const i64>> batches);
+                  std::span<const std::span<const i64>> batches, i64 extent);
+
+/// Locates the distinct globals of the last dedup_batches against @p d
+/// through the nested protocol, staged in the workspace, and returns their
+/// entries (valid until the workspace's next localize). The collapsed
+/// duplicates ride the locate's one clock charge, so the modeled time is
+/// that of a locate over every reference.
+std::span<const dist::Entry> locate_distinct(rt::Process& p,
+                                             const dist::Distribution& d,
+                                             InspectorWorkspace& ws);
 
 /// The canonical ghost-slot assignment shared by the full build and the
 /// repair path: counts distinct off-process entries per owner into the
@@ -138,13 +150,25 @@ class InspectorWorkspace {
   [[nodiscard]] i64 last_total_refs() const { return last_total_; }
   [[nodiscard]] i64 last_distinct_refs() const { return last_distinct_; }
 
+  /// The dereference scratch this workspace's locates stage in; other
+  /// collective steps of the same plan build (build_remap) may borrow it.
+  [[nodiscard]] dist::DereferenceWorkspace& deref_scratch() {
+    return deref_ws_;
+  }
+
+  /// Cells of the dedup table the most recent localize used: one per global
+  /// of the extent (dense), or the hash table's slots.
+  [[nodiscard]] std::size_t dedup_capacity() const {
+    return dense_extent_ > 0 ? dense_extent_ : slots_.size();
+  }
+
   /// Read-only views of the most recent dedup pass (valid until the next
   /// begin): the distinct globals in first-occurrence order, and the
   /// distinct ordinal of every reference position in batch-major order.
   [[nodiscard]] std::span<const i64> distinct_globals() const {
     return {distinct_.data(), static_cast<std::size_t>(last_distinct_)};
   }
-  [[nodiscard]] std::span<const i64> pos_ordinals() const {
+  [[nodiscard]] std::span<const u32> pos_ordinals() const {
     return {pos_ids_.data(), static_cast<std::size_t>(last_total_)};
   }
 
@@ -178,7 +202,9 @@ class InspectorWorkspace {
                                   CommSchedule&, i64&, InspectorWorkspace&,
                                   const LocalizeSnapshot&);
   friend i64 detail::dedup_batches(InspectorWorkspace&,
-                                   std::span<const std::span<const i64>>);
+                                   std::span<const std::span<const i64>>, i64);
+  friend std::span<const dist::Entry> detail::locate_distinct(
+      rt::Process&, const dist::Distribution&, InspectorWorkspace&);
   friend void detail::assign_ghost_slots(InspectorWorkspace&, std::size_t,
                                          i32, i64, CommSchedule&);
   friend void localize_many(rt::Process&, const dist::Distribution&,
@@ -189,21 +215,36 @@ class InspectorWorkspace {
                                    InspectorWorkspace&,
                                    const LocalizeSnapshot&, LocalizedMany&);
 
-  /// Starts a localize over @p total references: bumps the dedup epoch and
-  /// (re)sizes the table to load factor <= 1/2. Allocates only on growth.
-  void begin(std::size_t total) {
-    std::size_t cap = slot_key_.size();
-    if (cap < 2 * total || cap == 0) {
-      cap = 16;
-      while (cap < 2 * total) cap <<= 1;
-      slot_key_.resize(cap);
-      slot_id_.resize(cap);
-      slot_epoch_.resize(cap, 0);
+  /// Starts a localize over @p total references into a distribution of
+  /// @p extent globals: bumps the dedup epoch and picks the table. When the
+  /// extent is at most a few times the reference count, a table indexed by
+  /// the global itself — one 8-byte cell per global, smaller than a hash
+  /// table over the same keys and probed without hashing. Otherwise an
+  /// open-addressing table at load factor <= 1/2 over at most
+  /// min(total, extent) distinct keys. Allocates only on growth.
+  void begin(std::size_t total, i64 extent) {
+    CHAOS_CHECK(total < (std::size_t{1} << 32),
+                "inspector: more than 2^32 references in one localize");
+    const auto ext = static_cast<std::size_t>(std::max<i64>(extent, 0));
+    const std::size_t keys = std::min(total, ext);
+    if (++epoch_ == 0) {  // tag wraparound: forget every stale tag
+      std::fill(dense_.begin(), dense_.end(), 0);
+      for (DedupSlot& slot : slots_) slot.epoch = 0;
+      epoch_ = 1;
     }
-    mask_ = cap - 1;
-    ++epoch_;
+    if (ext > 0 && ext <= 4 * total) {
+      if (dense_.size() < ext) dense_.resize(ext, 0);
+      dense_extent_ = ext;
+      // Only globals outside the extent (which the locate rejects later)
+      // reach the hash table in this mode.
+      if (slots_.empty()) resize_table(16);
+    } else {
+      dense_extent_ = 0;
+      if (slots_.size() < 2 * keys || slots_.empty()) resize_table(2 * keys);
+    }
+    hashed_ = 0;
     distinct_.clear();
-    distinct_.reserve(total);
+    distinct_.reserve(keys);
     pos_ids_.resize(total);
     last_total_ = static_cast<i64>(total);
     last_distinct_ = 0;
@@ -211,20 +252,34 @@ class InspectorWorkspace {
 
   /// Distinct ordinal of global @p g, minting one (first-occurrence order)
   /// on the first sighting this epoch.
-  [[nodiscard]] i64 dedup_id(i64 g) {
+  [[nodiscard]] u32 dedup_id(i64 g) {
+    if (static_cast<u64>(g) < dense_extent_) {
+      u64& cell = dense_[static_cast<std::size_t>(g)];
+      if ((cell >> 32) == epoch_) return static_cast<u32>(cell);
+      const auto id = static_cast<u32>(distinct_.size());
+      cell = (static_cast<u64>(epoch_) << 32) | id;
+      distinct_.push_back(g);
+      return id;
+    }
     std::size_t s =
         static_cast<std::size_t>(dist::detail::mix64(static_cast<u64>(g))) &
         mask_;
     while (true) {
-      if (slot_epoch_[s] != epoch_) {
-        slot_epoch_[s] = epoch_;
-        slot_key_[s] = g;
-        const i64 id = static_cast<i64>(distinct_.size());
-        slot_id_[s] = id;
+      DedupSlot& slot = slots_[s];
+      if (slot.epoch != epoch_) {
+        // Keys can outnumber the sizing (globals outside the extent): keep
+        // the load factor <= 1/2 regardless.
+        if (2 * (hashed_ + 1) > slots_.size()) {
+          rehash(2 * slots_.size());
+          return dedup_id(g);
+        }
+        const auto id = static_cast<u32>(distinct_.size());
+        slot = DedupSlot{g, id, epoch_};
+        ++hashed_;
         distinct_.push_back(g);
         return id;
       }
-      if (slot_key_[s] == g) return slot_id_[s];
+      if (slot.key == g) return slot.id;
       s = (s + 1) & mask_;
     }
   }
@@ -266,15 +321,48 @@ class InspectorWorkspace {
     return -1;
   }
 
-  // Dedup table: open addressing, splitmix64 probing, epoch-tagged slots so
-  // a reset is one counter bump instead of an O(capacity) clear.
-  std::vector<i64> slot_key_;
-  std::vector<i64> slot_id_;
-  std::vector<u64> slot_epoch_;
-  std::size_t mask_ = 0;
-  u64 epoch_ = 0;
+  /// Power-of-two hash table of at least @p min_slots (>= 16) slots.
+  void resize_table(std::size_t min_slots) {
+    std::size_t cap = 16;
+    while (cap < min_slots) cap <<= 1;
+    slots_.assign(cap, DedupSlot{});
+    mask_ = cap - 1;
+  }
 
-  std::vector<i64> pos_ids_;    ///< distinct ordinal per reference position
+  /// Grows the hash table to @p min_slots mid-pass and re-inserts this
+  /// pass's hashed globals under their ordinals.
+  void rehash(std::size_t min_slots) {
+    resize_table(min_slots);
+    hashed_ = 0;
+    for (std::size_t id = 0; id < distinct_.size(); ++id) {
+      const i64 g = distinct_[id];
+      if (static_cast<u64>(g) < dense_extent_) continue;
+      std::size_t s =
+          static_cast<std::size_t>(dist::detail::mix64(static_cast<u64>(g))) &
+          mask_;
+      while (slots_[s].epoch == epoch_) s = (s + 1) & mask_;
+      slots_[s] = DedupSlot{g, static_cast<u32>(id), epoch_};
+      ++hashed_;
+    }
+  }
+
+  // Dedup tables, both epoch-tagged so a reset is one counter bump instead
+  // of an O(capacity) clear. Dense: cell g holds (epoch << 32 | ordinal).
+  // Hash: open addressing with splitmix64 probing; key, ordinal and tag
+  // share a 16-byte slot, so a probe touches one cache line.
+  struct DedupSlot {
+    i64 key = 0;
+    u32 id = 0;
+    u32 epoch = 0;
+  };
+  std::vector<u64> dense_;
+  std::size_t dense_extent_ = 0;  ///< 0 = hash mode
+  std::vector<DedupSlot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t hashed_ = 0;  ///< keys in the hash table this epoch
+  u32 epoch_ = 0;
+
+  std::vector<u32> pos_ids_;    ///< distinct ordinal per reference position
   std::vector<i64> distinct_;   ///< distinct globals, first-occurrence order
   std::vector<dist::Entry> entries_;  ///< resolved entry per distinct global
   std::vector<i64> loc_val_;    ///< localized index per distinct global
@@ -310,7 +398,7 @@ class InspectorWorkspace {
   std::vector<i64> tomb_scratch_;    ///< splice_send sorted-tombstone staging
 
   PlanOptions opts_;
-  dist::DereferenceWorkspace deref_ws_;  ///< flat cold-path locate scratch
+  dist::DereferenceWorkspace deref_ws_;  ///< locate scratch (both protocols)
   i64 last_total_ = 0;
   i64 last_distinct_ = 0;
   u64 last_dad_key_ = 0;  ///< distribution identity of the last localize

@@ -16,6 +16,8 @@
 
 namespace chaos::core {
 
+class InspectorWorkspace;
+
 enum class IterRule : u8 {
   MostLocalReferences,  ///< paper's default ("almost owner computes")
   OwnerComputes,        ///< owner of the first reference batch's element
@@ -41,6 +43,15 @@ struct IterationPartition {
     rt::Process& p, const dist::Distribution& iter_space,
     const dist::Distribution& data_dist,
     std::span<const std::span<const i64>> ref_batches,
+    IterRule rule = IterRule::MostLocalReferences, i64 page_size = 4096);
+
+/// As above, deduplicating the references through @p ws — a plan's own
+/// InspectorWorkspace, so a plan rebuilt in place reuses its warm dedup
+/// table and dereference scratch. Same result and modeled charges.
+[[nodiscard]] IterationPartition partition_iterations(
+    rt::Process& p, const dist::Distribution& iter_space,
+    const dist::Distribution& data_dist,
+    std::span<const std::span<const i64>> ref_batches, InspectorWorkspace& ws,
     IterRule rule = IterRule::MostLocalReferences, i64 page_size = 4096);
 
 }  // namespace chaos::core

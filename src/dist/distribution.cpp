@@ -6,6 +6,50 @@
 
 namespace chaos::dist {
 
+namespace {
+
+/// Merges the ascending runs segment(0..P-1), whose lengths @p offsets
+/// prefixes, into one ascending vector: pairwise and bottom-up, the first
+/// level reading the runs where they lie. O(n log P).
+template <typename Segment>
+std::vector<i64> merge_ascending_runs(const Segment& segment,
+                                      std::span<const i64> offsets) {
+  const std::size_t runs = offsets.size() - 1;
+  for (std::size_t s = 0; s < runs; ++s) {
+    const auto run = segment(s);
+    CHAOS_CHECK(std::is_sorted(run.begin(), run.end()),
+                "irregular_from_map: an incoming run is not ascending");
+  }
+  std::vector<i64> merged(static_cast<std::size_t>(offsets.back()));
+  std::vector<i64> bounds;  // run boundaries inside `merged`
+  bounds.push_back(0);
+  for (std::size_t s = 0; s < runs; s += 2) {
+    const auto a = segment(s);
+    const auto b = s + 1 < runs ? segment(s + 1) : decltype(a){};
+    std::merge(a.begin(), a.end(), b.begin(), b.end(),
+               merged.begin() + bounds.back());
+    bounds.push_back(bounds.back() + static_cast<i64>(a.size() + b.size()));
+  }
+  std::vector<i64> other;
+  while (bounds.size() > 2) {
+    other.resize(merged.size());
+    std::size_t kept = 1;
+    for (std::size_t k = 0; k + 1 < bounds.size(); k += 2) {
+      const auto lo = merged.begin() + bounds[k];
+      const auto mid = merged.begin() + bounds[k + 1];
+      const auto hi =
+          k + 2 < bounds.size() ? merged.begin() + bounds[k + 2] : mid;
+      std::merge(lo, mid, mid, hi, other.begin() + bounds[k]);
+      bounds[kept++] = bounds[std::min(k + 2, bounds.size() - 1)];
+    }
+    bounds.resize(kept);
+    merged.swap(other);
+  }
+  return merged;
+}
+
+}  // namespace
+
 std::shared_ptr<const Distribution> Distribution::block(rt::Process& p,
                                                         i64 n) {
   CHAOS_CHECK(n >= 0, "BLOCK: negative extent");
@@ -44,24 +88,34 @@ std::shared_ptr<const Distribution> Distribution::irregular_from_map(
               "distribution");
   const i64 n = map_dist.size();
 
-  // Route each global to its assigned owner in one exchange.
-  std::vector<std::vector<i64>> outgoing(static_cast<std::size_t>(p.nprocs()));
-  for (std::size_t l = 0; l < map_slice.size(); ++l) {
-    const i64 owner = map_slice[l];
+  // Route each global to its assigned owner in one CSR exchange.
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  std::vector<i64> offsets(np + 1, 0);
+  for (const i64 owner : map_slice) {
     CHAOS_CHECK(owner >= 0 && owner < p.nprocs(),
                 "irregular_from_map: map names process " +
                     std::to_string(owner) + " outside the machine");
-    outgoing[static_cast<std::size_t>(owner)].push_back(
-        map_dist.my_global_of(static_cast<i64>(l)));
+    ++offsets[static_cast<std::size_t>(owner) + 1];
   }
-  const auto incoming = rt::alltoallv(p, outgoing);
+  for (std::size_t r = 0; r < np; ++r) offsets[r + 1] += offsets[r];
+  std::vector<i64> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<i64> outgoing(map_slice.size());
+  for (std::size_t l = 0; l < map_slice.size(); ++l) {
+    outgoing[static_cast<std::size_t>(cursor[static_cast<std::size_t>(
+        map_slice[l])]++)] = map_dist.my_global_of(static_cast<i64>(l));
+  }
 
+  // Every source walks its segment in ascending local order, and local
+  // order is ascending global order for all four kinds, so each incoming
+  // run is already sorted: a P-way merge, read straight out of the peers'
+  // segments, replaces a full sort.
   auto d = std::shared_ptr<Distribution>(new Distribution());
   d->my_rank_ = p.rank();
-  for (const auto& block : incoming) {
-    d->my_globals_.insert(d->my_globals_.end(), block.begin(), block.end());
-  }
-  std::sort(d->my_globals_.begin(), d->my_globals_.end());
+  std::vector<i64> in_offsets;
+  rt::alltoallv_csr_read<i64>(
+      p, outgoing, offsets, in_offsets, [&](const auto& segment) {
+        d->my_globals_ = merge_ascending_runs(segment, in_offsets);
+      });
   p.clock().charge_ops(static_cast<i64>(d->my_globals_.size()),
                        p.params().mem_us_per_word);
 
@@ -109,6 +163,16 @@ std::vector<i64> Distribution::my_globals() const {
     out[l] = global_of(my_rank_, static_cast<i64>(l));
   }
   return out;
+}
+
+std::span<const i64> Distribution::my_globals_view(
+    std::vector<i64>& scratch) const {
+  if (dad_.kind == DistKind::Irregular) return my_globals_;
+  scratch.resize(static_cast<std::size_t>(my_local_size()));
+  for (std::size_t l = 0; l < scratch.size(); ++l) {
+    scratch[l] = global_of(my_rank_, static_cast<i64>(l));
+  }
+  return scratch;
 }
 
 i64 Distribution::global_of(int rank, i64 l) const {
@@ -168,10 +232,27 @@ std::vector<Entry> Distribution::locate(rt::Process& p,
 void Distribution::locate_into(rt::Process& p, std::span<const i64> queries,
                                std::vector<Entry>& out,
                                i64 extra_charged_queries) const {
+  DereferenceWorkspace ws;  // empty until an IRREGULAR dereference grows it
+  locate_into(p, queries, out, ws, extra_charged_queries);
+}
+
+void Distribution::locate_into(rt::Process& p, std::span<const i64> queries,
+                               std::vector<Entry>& out,
+                               DereferenceWorkspace& ws,
+                               i64 extra_charged_queries,
+                               bool queries_distinct) const {
   if (dad_.kind == DistKind::Irregular) {
-    out = table_->dereference(p, queries, extra_charged_queries);
+    table_->dereference_into(p, queries, out, ws, extra_charged_queries,
+                             queries_distinct);
     return;
   }
+  locate_closed_form(p, queries, out, extra_charged_queries);
+}
+
+void Distribution::locate_closed_form(rt::Process& p,
+                                      std::span<const i64> queries,
+                                      std::vector<Entry>& out,
+                                      i64 extra_charged_queries) const {
   out.resize(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const i64 g = queries[i];

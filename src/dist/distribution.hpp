@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dist/dad.hpp"
+#include "dist/dereference_workspace.hpp"
 #include "dist/translation_table.hpp"
 #include "rt/machine.hpp"
 
@@ -51,7 +52,14 @@ class Distribution {
 
   /// This process's owned globals, in local-index order (ascending for
   /// IRREGULAR by construction; regular kinds follow their closed form).
+  /// Returns a copy; callers that only read should use my_globals_view().
   [[nodiscard]] std::vector<i64> my_globals() const;
+
+  /// The same globals as a view. IRREGULAR views its stored slice (no
+  /// copy); regular kinds materialize their closed form into @p scratch and
+  /// view that. Valid while this distribution and @p scratch live.
+  [[nodiscard]] std::span<const i64> my_globals_view(
+      std::vector<i64>& scratch) const;
 
   /// Global index of local element @p l on process @p rank. For IRREGULAR
   /// only this process's own slice is materialized, so rank must be mine.
@@ -73,8 +81,8 @@ class Distribution {
 
   /// Collective, allocation-aware variant: resolves into @p out (resized in
   /// place, so a caller reusing one buffer across calls pays zero heap
-  /// allocations for regular kinds; IRREGULAR still allocates inside the
-  /// table dereference). Same answers and identical modeled charges as
+  /// allocations for regular kinds; IRREGULAR stages the table dereference
+  /// in a call-local workspace — pass one to the overload below to keep it). Same answers and identical modeled charges as
   /// locate(). @p extra_charged_queries is model compensation folded into
   /// the SAME clock charge as the real queries (one fused charge keeps the
   /// virtual clock bit-identical to a single locate over queries + extras):
@@ -82,6 +90,15 @@ class Distribution {
   void locate_into(rt::Process& p, std::span<const i64> queries,
                    std::vector<Entry>& out,
                    i64 extra_charged_queries = 0) const;
+
+  /// As above, with the IRREGULAR dereference staged in @p ws
+  /// (TranslationTable::dereference_into): same protocol, answers and
+  /// charge, and no heap allocation on a warm repeat call.
+  /// @p queries_distinct is the caller's promise that no query repeats.
+  void locate_into(rt::Process& p, std::span<const i64> queries,
+                   std::vector<Entry>& out, DereferenceWorkspace& ws,
+                   i64 extra_charged_queries = 0,
+                   bool queries_distinct = false) const;
 
   /// Collective, zero-allocation variant: IRREGULAR distributions resolve
   /// through TranslationTable::dereference_flat staged in @p ws (0 heap
@@ -99,6 +116,11 @@ class Distribution {
 
  private:
   Distribution() = default;
+
+  /// Regular kinds' locate: owner and local offset by arithmetic.
+  void locate_closed_form(rt::Process& p, std::span<const i64> queries,
+                          std::vector<Entry>& out,
+                          i64 extra_charged_queries) const;
 
   Dad dad_;
   int my_rank_ = 0;

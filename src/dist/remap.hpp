@@ -15,6 +15,9 @@
 
 namespace chaos::dist {
 
+/// CSR-shaped like core::CommSchedule: segment d of send_pos lists what I
+/// ship to process d, segment s of place_pos where what process s ships me
+/// lands.
 struct RemapPlan {
   i64 size = 0;            ///< global extent both distributions share
   i64 nlocal_from = 0;     ///< my source-segment length (staleness guard)
@@ -22,17 +25,27 @@ struct RemapPlan {
   i64 moved_elements = 0;  ///< machine-total elements that changed process
   u64 from_incarnation = 0;
   u64 to_incarnation = 0;
-  /// send_pos[d][k] = position in my source segment of the k-th value I
-  /// ship to process d (ascending source order).
-  std::vector<std::vector<i64>> send_pos;
-  /// place_pos[s][k] = position in my target segment where the k-th value
-  /// arriving from process s lands.
-  std::vector<std::vector<i64>> place_pos;
+  /// P+1 prefix over send_pos. send_pos[send_offsets[d] + k] = position in
+  /// my source segment of the k-th value I ship to process d (ascending
+  /// source order).
+  std::vector<i64> send_offsets;
+  std::vector<i64> send_pos;
+  /// P+1 prefix over place_pos. place_pos[place_offsets[s] + k] = position
+  /// in my target segment where the k-th value arriving from process s
+  /// lands.
+  std::vector<i64> place_offsets;
+  std::vector<i64> place_pos;
 };
 
 /// Collective. Throws if the distributions differ in global size.
 [[nodiscard]] RemapPlan build_remap(rt::Process& p, const Distribution& from,
                                     const Distribution& to);
+
+/// As above, staging the locate in @p ws (a caller's retained dereference
+/// scratch). Same plan and modeled charges.
+[[nodiscard]] RemapPlan build_remap(rt::Process& p, const Distribution& from,
+                                    const Distribution& to,
+                                    DereferenceWorkspace& ws);
 
 /// Collective. Moves one array's owned segment through @p plan; the source
 /// span must match the plan's build-time segment length, checked before any
@@ -70,15 +83,19 @@ inline void apply_remap_delta(rt::Process& p, const RemapPlan& plan,
               "apply_remap_delta: positions/values length mismatch");
   CHAOS_CHECK(static_cast<i64>(target.size()) == plan.nlocal_to,
               "apply_remap_delta: target segment length does not match plan");
-  const auto np = plan.send_pos.size();
+  CHAOS_CHECK(plan.send_offsets.size() ==
+                  static_cast<std::size_t>(p.nprocs()) + 1,
+              "apply_remap_delta: plan was built for another machine width");
+  const auto np = plan.send_offsets.size() - 1;
   if (!ws.inverse_built) {
     ws.dest_of.assign(static_cast<std::size_t>(plan.nlocal_from), -1);
     ws.ord_of.assign(static_cast<std::size_t>(plan.nlocal_from), -1);
     for (std::size_t d = 0; d < np; ++d) {
-      for (std::size_t k = 0; k < plan.send_pos[d].size(); ++k) {
-        const auto pos = static_cast<std::size_t>(plan.send_pos[d][k]);
+      for (i64 k = plan.send_offsets[d]; k < plan.send_offsets[d + 1]; ++k) {
+        const auto pos =
+            static_cast<std::size_t>(plan.send_pos[static_cast<std::size_t>(k)]);
         ws.dest_of[pos] = static_cast<i64>(d);
-        ws.ord_of[pos] = static_cast<i64>(k);
+        ws.ord_of[pos] = k - plan.send_offsets[d];
       }
     }
     ws.inverse_built = true;
@@ -110,11 +127,12 @@ inline void apply_remap_delta(rt::Process& p, const RemapPlan& plan,
   // have put the s-th source's ordinal-th element.
   for (std::size_t s = 0; s < np; ++s) {
     for (i64 k = ws.recv_offsets[s]; k < ws.recv_offsets[s + 1]; k += 2) {
-      const auto ord = static_cast<std::size_t>(
-          ws.recv_payload[static_cast<std::size_t>(k)]);
-      CHAOS_CHECK(ord < plan.place_pos[s].size(),
+      const i64 ord = ws.recv_payload[static_cast<std::size_t>(k)];
+      CHAOS_CHECK(ord >= 0 && ord < plan.place_offsets[s + 1] -
+                                        plan.place_offsets[s],
                   "apply_remap_delta: peer sent an out-of-range ordinal");
-      target[static_cast<std::size_t>(plan.place_pos[s][ord])] =
+      target[static_cast<std::size_t>(plan.place_pos[static_cast<std::size_t>(
+          plan.place_offsets[s] + ord)])] =
           ws.recv_payload[static_cast<std::size_t>(k) + 1];
     }
   }
@@ -128,25 +146,27 @@ template <typename T>
                                          std::span<const T> src) {
   CHAOS_CHECK(static_cast<i64>(src.size()) == plan.nlocal_from,
               "apply_remap: plan is stale (source segment length changed)");
-  std::vector<std::vector<T>> outgoing(plan.send_pos.size());
-  i64 packed = 0;
-  for (std::size_t d = 0; d < plan.send_pos.size(); ++d) {
-    outgoing[d].reserve(plan.send_pos[d].size());
-    for (i64 pos : plan.send_pos[d]) {
-      outgoing[d].push_back(src[static_cast<std::size_t>(pos)]);
-      ++packed;
-    }
+  std::vector<T> packed(plan.send_pos.size());
+  for (std::size_t k = 0; k < packed.size(); ++k) {
+    packed[k] = src[static_cast<std::size_t>(plan.send_pos[k])];
   }
-  const auto incoming = rt::alltoallv(p, outgoing);
   std::vector<T> out(static_cast<std::size_t>(plan.nlocal_to));
-  for (std::size_t s = 0; s < incoming.size(); ++s) {
-    CHAOS_CHECK(incoming[s].size() == plan.place_pos[s].size(),
-                "apply_remap: peer sent unexpected element count");
-    for (std::size_t k = 0; k < incoming[s].size(); ++k) {
-      out[static_cast<std::size_t>(plan.place_pos[s][k])] = incoming[s][k];
-    }
-  }
-  p.clock().charge_ops(packed + plan.nlocal_to, p.params().mem_us_per_word);
+  std::vector<i64> in_offsets;
+  rt::alltoallv_csr_read<T>(
+      p, packed, plan.send_offsets, in_offsets, [&](const auto& segment) {
+        CHAOS_CHECK(in_offsets == plan.place_offsets,
+                    "apply_remap: peer sent unexpected element count");
+        // Unpack straight out of the peers' packed segments.
+        for (std::size_t s = 0; s + 1 < in_offsets.size(); ++s) {
+          const std::span<const T> seg = segment(s);
+          const i64* place = plan.place_pos.data() + in_offsets[s];
+          for (std::size_t k = 0; k < seg.size(); ++k) {
+            out[static_cast<std::size_t>(place[k])] = seg[k];
+          }
+        }
+      });
+  p.clock().charge_ops(static_cast<i64>(packed.size()) + plan.nlocal_to,
+                       p.params().mem_us_per_word);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "dist/translation_table.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "dist/dereference_workspace.hpp"
 #include "rt/collectives.hpp"
@@ -28,6 +29,13 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
   tt->replicated_ = replicated;
   tt->nprocs_ = p.nprocs();
   tt->my_rank_ = p.rank();
+  const auto pow2_shift = [](i64 v) {
+    return std::has_single_bit(static_cast<u64>(v))
+               ? std::countr_zero(static_cast<u64>(v))
+               : -1;
+  };
+  tt->page_shift_ = pow2_shift(page_size);
+  tt->proc_shift_ = pow2_shift(p.nprocs());
 
   for (i64 g : mine) {
     CHAOS_CHECK(g >= 0 && g < n,
@@ -82,26 +90,45 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
   tt->proc_.assign(static_cast<std::size_t>(my_pages * page_size), -1);
   tt->local_.assign(static_cast<std::size_t>(my_pages * page_size), -1);
 
-  std::vector<std::vector<Claim>> outgoing(
-      static_cast<std::size_t>(p.nprocs()));
+  // Claims grouped by page home in one CSR.
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  std::vector<i64> offsets(np + 1, 0);
+  for (const i64 g : mine) {
+    ++offsets[static_cast<std::size_t>(tt->home_of(g)) + 1];
+  }
+  for (std::size_t r = 0; r < np; ++r) offsets[r + 1] += offsets[r];
+  std::vector<i64> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<Claim> outgoing(mine.size());
   for (std::size_t l = 0; l < mine.size(); ++l) {
-    outgoing[static_cast<std::size_t>(tt->home_of(mine[l]))].push_back(
-        Claim{mine[l], static_cast<i64>(l)});
+    outgoing[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(tt->home_of(mine[l]))]++)] =
+        Claim{mine[l], static_cast<i64>(l)};
   }
-  const auto incoming = rt::alltoallv(p, outgoing);
-  for (int s = 0; s < p.nprocs(); ++s) {
-    for (const auto& c : incoming[static_cast<std::size_t>(s)]) {
-      const std::size_t slot = tt->my_slot(c.g);
-      CHAOS_CHECK(tt->proc_[slot] == -1,
-                  "translation table: global " + std::to_string(c.g) +
-                      " claimed by more than one process");
-      tt->proc_[slot] = s;
-      tt->local_[slot] = c.local;
-    }
-  }
+  // Fill my pages straight from the peers' claim segments.
+  std::vector<i64> in_offsets;
+  rt::alltoallv_csr_read<Claim>(
+      p, outgoing, offsets, in_offsets, [&](const auto& segment) {
+        for (std::size_t s = 0; s < np; ++s) {
+          for (const Claim& c : segment(s)) {
+            const std::size_t slot = tt->my_slot(c.g);
+            CHAOS_CHECK(tt->proc_[slot] == -1,
+                        "translation table: global " + std::to_string(c.g) +
+                            " claimed by more than one process");
+            tt->proc_[slot] = static_cast<i32>(s);
+            tt->local_[slot] = c.local;
+          }
+        }
+      });
   // Coverage: every slot of every hosted page that maps to a real global
   // must have been claimed (padding slots past n stay -1 and are never hit).
+  // No slot was claimed twice, so counting suffices; only a shortfall walks
+  // the pages to name the first unclaimed global.
+  i64 hosted = 0;
   for (i64 k = 0; k < my_pages; ++k) {
+    const i64 lo = (p.rank() + k * p.nprocs()) * page_size;
+    hosted += std::min(n, lo + page_size) - lo;
+  }
+  for (i64 k = 0; hosted != in_offsets[np] && k < my_pages; ++k) {
     const i64 pid = p.rank() + k * p.nprocs();
     const i64 lo = pid * page_size;
     const i64 hi = std::min(n, lo + page_size);
@@ -120,9 +147,21 @@ std::shared_ptr<const TranslationTable> TranslationTable::build(
 std::vector<Entry> TranslationTable::dereference(
     rt::Process& p, std::span<const i64> queries,
     i64 extra_charged_queries) const {
+  DereferenceWorkspace ws;
+  std::vector<Entry> out;
+  dereference_into(p, queries, out, ws, extra_charged_queries);
+  return out;
+}
+
+void TranslationTable::dereference_into(rt::Process& p,
+                                        std::span<const i64> queries,
+                                        std::vector<Entry>& out,
+                                        DereferenceWorkspace& ws,
+                                        i64 extra_charged_queries,
+                                        bool queries_distinct) const {
   ++stats_.dereference_calls;
   stats_.queries += static_cast<i64>(queries.size());
-  std::vector<Entry> out(queries.size());
+  out.resize(queries.size());
 
   for (i64 q : queries) {
     CHAOS_CHECK(q >= 0 && q < n_,
@@ -139,59 +178,126 @@ std::vector<Entry> TranslationTable::dereference(
     p.clock().charge_ops(static_cast<i64>(queries.size()) +
                              extra_charged_queries,
                          p.params().mem_us_per_word);
-    return out;
+    return;
   }
 
-  // Paged: answer self-homed pages directly; batch everything else into one
-  // request/response round with sorted, deduplicated per-home vectors.
-  std::vector<std::vector<i64>> requests(static_cast<std::size_t>(nprocs_));
+  // Pass 1: answer self-homed pages directly, count the rest per home, and
+  // note which home buckets are duplicate-free as they arrive (strictly
+  // ascending, or all of them when the caller vouches the queries are
+  // distinct) — those skip the sort and resolve by position.
+  const auto np = static_cast<std::size_t>(nprocs_);
+  ws.counts_.assign(np, 0);
+  ws.tail_.assign(np, -1);
+  ws.direct_.assign(np, 1);
+  ws.home_.resize(queries.size());
+  i64 remote_refs = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const i64 q = queries[i];
-    const int home = home_of(q);
+    const auto home = static_cast<i32>(home_of(q));
     if (home == my_rank_) {
       const std::size_t slot = my_slot(q);
       out[i] = Entry{proc_[slot], local_[slot]};
-    } else {
-      requests[static_cast<std::size_t>(home)].push_back(q);
-      ++stats_.remote_queries;
+      ws.home_[i] = -1;
+      continue;
     }
+    const auto h = static_cast<std::size_t>(home);
+    ws.home_[i] = home;
+    ++ws.counts_[h];
+    if (!queries_distinct) {
+      if (q <= ws.tail_[h]) ws.direct_[h] = 0;
+      ws.tail_[h] = q;
+    }
+    ++remote_refs;
   }
-  i64 remote = 0;  // distinct remote targets after dedup (wire volume)
-  for (auto& r : requests) {
-    std::sort(r.begin(), r.end());
-    r.erase(std::unique(r.begin(), r.end()), r.end());
-    remote += static_cast<i64>(r.size());
+  stats_.remote_queries += remote_refs;
+
+  // Pass 2: scatter the remote queries into a per-home request CSR, in
+  // arrival order within each home.
+  ws.send_offsets_.resize(np + 1);
+  ws.send_offsets_[0] = 0;
+  for (std::size_t r = 0; r < np; ++r) {
+    ws.send_offsets_[r + 1] = ws.send_offsets_[r] + ws.counts_[r];
   }
+  ws.req_.resize(static_cast<std::size_t>(ws.send_offsets_[np]));
+  ws.cursor_.assign(ws.send_offsets_.begin(), ws.send_offsets_.end() - 1);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (ws.home_[i] < 0) continue;
+    ws.req_[static_cast<std::size_t>(
+        ws.cursor_[static_cast<std::size_t>(ws.home_[i])]++)] = queries[i];
+  }
+
+  // Pass 3: sort and dedup the buckets that may hold repeats, and compact
+  // every bucket left so the request buffer stays flat.
+  i64 write = 0;
+  for (std::size_t r = 0; r < np; ++r) {
+    const i64 lo = ws.send_offsets_[r];
+    const i64 hi = ws.send_offsets_[r + 1];
+    const i64 start = write;
+    if (ws.direct_[r]) {
+      if (lo != start) {
+        std::copy(ws.req_.begin() + lo, ws.req_.begin() + hi,
+                  ws.req_.begin() + start);
+      }
+      write += hi - lo;
+    } else {
+      std::sort(ws.req_.begin() + lo, ws.req_.begin() + hi);
+      for (i64 k = lo; k < hi; ++k) {
+        if (k == lo || ws.req_[static_cast<std::size_t>(k)] !=
+                           ws.req_[static_cast<std::size_t>(k - 1)]) {
+          ws.req_[static_cast<std::size_t>(write++)] =
+              ws.req_[static_cast<std::size_t>(k)];
+        }
+      }
+    }
+    ws.counts_[r] = write - start;
+  }
+  for (std::size_t r = 0; r < np; ++r) {
+    ws.send_offsets_[r + 1] = ws.send_offsets_[r] + ws.counts_[r];
+  }
+  const i64 remote = write;  // distinct remote targets (wire volume)
   stats_.wire_queries += remote;
 
   // The exchange is collective even when this process asks nothing: peers
-  // may be asking us. One round = request alltoallv + response alltoallv.
+  // may be asking us. One round = request exchange + response exchange.
   ++stats_.alltoallv_rounds;
-  const auto asked = rt::alltoallv(p, requests);
-  std::vector<std::vector<Entry>> replies(static_cast<std::size_t>(nprocs_));
-  for (std::size_t s = 0; s < asked.size(); ++s) {
-    replies[s].reserve(asked[s].size());
-    for (i64 g : asked[s]) {
-      const std::size_t slot = my_slot(g);
-      replies[s].push_back(Entry{proc_[slot], local_[slot]});
-    }
-  }
-  const auto answers = rt::alltoallv(p, replies);
-
-  // Resolve remote queries by binary search in the sorted request vector —
-  // answers[home] is index-aligned with requests[home] by construction.
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const i64 q = queries[i];
-    const auto home = static_cast<std::size_t>(home_of(q));
-    if (static_cast<int>(home) == my_rank_) continue;
-    const auto& req = requests[home];
-    const auto it = std::lower_bound(req.begin(), req.end(), q);
-    out[i] = answers[home][static_cast<std::size_t>(it - req.begin())];
-  }
+  rt::alltoallv_csr_read<i64>(
+      p, std::span<const i64>(ws.req_.data(), static_cast<std::size_t>(remote)),
+      ws.send_offsets_, ws.recv_offsets_, [&](const auto& segment) {
+        // Answer from my pages straight out of the peers' request segments.
+        ws.reply_.resize(static_cast<std::size_t>(ws.recv_offsets_.back()));
+        std::size_t k = 0;
+        for (std::size_t s = 0; s < np; ++s) {
+          for (const i64 g : segment(s)) {
+            const std::size_t slot = my_slot(g);
+            ws.reply_[k++] = Entry{proc_[slot], local_[slot]};
+          }
+        }
+      });
+  // Resolve remote queries straight out of the answer segments, which are
+  // index-aligned with my request segments. A direct bucket kept arrival
+  // order, so a cursor walks its answers; the others are found by binary
+  // search.
+  rt::alltoallv_csr_read<Entry>(
+      p, ws.reply_, ws.recv_offsets_, ws.answer_offsets_,
+      [&](const auto& segment) {
+        ws.cursor_.assign(np, 0);
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          if (ws.home_[i] < 0) continue;
+          const auto h = static_cast<std::size_t>(ws.home_[i]);
+          const std::span<const Entry> answers = segment(h);
+          if (ws.direct_[h]) {
+            out[i] = answers[static_cast<std::size_t>(ws.cursor_[h]++)];
+            continue;
+          }
+          const auto lo = ws.req_.begin() + ws.send_offsets_[h];
+          const auto hi = ws.req_.begin() + ws.send_offsets_[h + 1];
+          out[i] = answers[static_cast<std::size_t>(
+              std::lower_bound(lo, hi, queries[i]) - lo)];
+        }
+      });
   p.clock().charge_ops(static_cast<i64>(queries.size()) +
                            extra_charged_queries + 2 * remote,
                        p.params().mem_us_per_word);
-  return out;
 }
 
 void TranslationTable::dereference_flat(rt::Process& p,

@@ -5,8 +5,9 @@
 //   paged      — the table is split into fixed-size pages of consecutive
 //                globals; page pid lives on process pid % P. O(N/P) memory
 //                per process. dereference() batches all lookups into ONE
-//                request/response exchange round (two rt::alltoallv calls)
-//                with per-destination sorted, deduplicated request vectors.
+//                request/response exchange round (two CSR exchanges, each
+//                charged as an rt::alltoallv) with per-destination
+//                deduplicated request segments.
 //   replicated — every process stores the whole table. O(N) memory,
 //                zero-communication dereference.
 //
@@ -68,6 +69,21 @@ class TranslationTable {
       rt::Process& p, std::span<const i64> queries,
       i64 extra_charged_queries = 0) const;
 
+  /// Collective. dereference() into caller-owned buffers: the same nested
+  /// protocol (one request and one response rt::alltoallv_csr, each charged
+  /// and counted exactly as an rt::alltoallv), the same answers, stats and
+  /// modeled charge, staged in @p ws so a warm repeat call allocates
+  /// nothing. A home bucket whose queries arrive strictly ascending (always
+  /// true of a distribution's own globals) skips the per-home sort and
+  /// resolves its answers by position instead of binary search; with
+  /// @p queries_distinct (the caller vouches that no query repeats, as a
+  /// dedup pass guarantees) every bucket does. The wire carries the same
+  /// number of words either way, so the modeled charge is unchanged.
+  void dereference_into(rt::Process& p, std::span<const i64> queries,
+                        std::vector<Entry>& out, DereferenceWorkspace& ws,
+                        i64 extra_charged_queries = 0,
+                        bool queries_distinct = false) const;
+
   /// Collective, zero-allocation variant of dereference(): the flat CSR
   /// protocol (DESIGN.md §9) answers the same queries through one counts
   /// rt::alltoall plus two rt::alltoallv_flat exchanges, staging everything
@@ -93,15 +109,23 @@ class TranslationTable {
  private:
   TranslationTable() = default;
 
-  [[nodiscard]] i64 page_of(i64 g) const { return g / page_size_; }
+  // Page arithmetic shifts instead of dividing when the page size or the
+  // process count is a power of two (64-bit division is the dominant cost
+  // of a table touch otherwise).
+  [[nodiscard]] i64 page_of(i64 g) const {
+    return page_shift_ >= 0 ? g >> page_shift_ : g / page_size_;
+  }
   [[nodiscard]] int home_of(i64 g) const {
-    return static_cast<int>(page_of(g) % nprocs_);
+    const i64 pid = page_of(g);
+    return static_cast<int>(proc_shift_ >= 0 ? pid & (nprocs_ - 1)
+                                             : pid % nprocs_);
   }
   /// Flat slot of global @p g inside this process's page storage (the
   /// caller guarantees home_of(g) == my rank).
   [[nodiscard]] std::size_t my_slot(i64 g) const {
     const i64 pid = page_of(g);
-    return static_cast<std::size_t>((pid / nprocs_) * page_size_ +
+    const i64 round = proc_shift_ >= 0 ? pid >> proc_shift_ : pid / nprocs_;
+    return static_cast<std::size_t>(round * page_size_ +
                                     (g - pid * page_size_));
   }
 
@@ -110,6 +134,8 @@ class TranslationTable {
   bool replicated_ = false;
   int nprocs_ = 0;
   int my_rank_ = 0;
+  int page_shift_ = -1;  ///< log2(page_size_) if a power of two, else -1
+  int proc_shift_ = -1;  ///< log2(nprocs_) if a power of two, else -1
   std::vector<i64> local_counts_;  ///< owned-element count per rank
 
   /// Entry storage. Replicated: indexed directly by global. Paged: my pages

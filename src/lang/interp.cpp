@@ -85,7 +85,10 @@ struct LoopPlan {
   std::shared_ptr<const dist::Distribution> iter_space;
   std::shared_ptr<const dist::Distribution> data_dist;  // may be null
   core::IterationPartition iters;
-  std::vector<i64> iter_ids;  ///< my 0-based iteration ids, local order
+  /// My 0-based iteration ids, local order: a view of iters.iter_dist's
+  /// own slice, materialized into iter_ids_scratch only for a regular one.
+  std::span<const i64> iter_ids;
+  std::vector<i64> iter_ids_scratch;
 
   std::vector<std::vector<i64>> ind_values;  ///< remapped, 0-based
   /// Pre-remap 0-based indirection slices at the last build/repair: the
@@ -373,7 +376,8 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
       std::vector<std::span<const i64>> batches(ind_slices.begin(),
                                                 ind_slices.end());
       plan.iters = core::partition_iterations(p, *plan.iter_space,
-                                              *plan.data_dist, batches);
+                                              *plan.data_dist, batches,
+                                              plan.iws);
       for (auto& slice : ind_slices) {
         plan.ind_values.push_back(
             dist::apply_remap<i64>(p, plan.iters.remap, slice));
@@ -387,7 +391,8 @@ void plan_partition(rt::Process& p, Instance::State& st, const ForallMeta& m,
                                            *plan.iter_space);
       plan.iters.moved_iterations = 0;
     }
-    plan.iter_ids = plan.iters.iter_dist->my_globals();
+    plan.iter_ids =
+        plan.iters.iter_dist->my_globals_view(plan.iter_ids_scratch);
     phases.remap += section.elapsed_sec();
   }
 }

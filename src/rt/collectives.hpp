@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -436,6 +437,127 @@ void alltoallv_flat(Process& p, std::span<const T> send,
     }
   }
   p.stats().note_alltoallv(off_process_bytes);
+}
+
+/// Personalized all-to-all of one CSR send buffer, read in place: the
+/// segment send[send_offsets[d], send_offsets[d+1]) goes to rank d. Before
+/// @p read runs, @p recv_offsets (grow-only, nprocs+1 entries) holds the
+/// prefix of the segment lengths arriving here; @p read is then called
+/// once with a function `segment(s)` returning the std::span<const T> that
+/// source s sent. The spans point into the peers' own send buffers and are
+/// valid only inside @p read, so a receiver can merge, scatter or answer
+/// straight from them without a receive copy.
+///
+/// It runs the nested alltoallv's two phases — publish a pointer, fused
+/// sync, read, read-done — with no counts round: after the fused sync every
+/// rank reads its segment lengths off its peers' published send prefixes.
+/// It charges, counts (collectives, barriers, note_send/note_recv,
+/// note_alltoallv) and visits fault sites (one BlackboardPublish, the same
+/// BarrierArrive phases) exactly as alltoallv does, at the same points, so
+/// a caller moved onto it keeps byte-identical modeled time, MessageStats
+/// and seeded-FaultPlan behaviour.
+///
+/// Exception safety (DESIGN.md §11): a throw mid-exchange (an injected
+/// fault, a poisoned sibling, a deadline) clears @p recv_offsets before the
+/// rethrow.
+template <typename T, typename Read>
+void alltoallv_csr_read(Process& p, std::span<const T> send,
+                        std::span<const i64> send_offsets,
+                        std::vector<i64>& recv_offsets, Read&& read) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  CHAOS_CHECK(send_offsets.size() == np + 1,
+              "alltoallv_csr: send prefix must have nprocs+1 entries");
+  CHAOS_CHECK(static_cast<i64>(send.size()) >= send_offsets[np],
+              "alltoallv_csr: send buffer smaller than its prefix claims");
+  ++p.stats().collectives;
+  Machine& m = p.machine();
+  const u64 seq = p.next_bb_seq();
+  const detail::FlatSendView<T> view{send.data(), send_offsets.data()};
+  const auto me = static_cast<std::size_t>(p.rank());
+  const auto peer = [&m, seq](std::size_t s) -> const detail::FlatSendView<T>& {
+    return *static_cast<const detail::FlatSendView<T>*>(
+        detail::bb_fetch_ptr(m, static_cast<int>(s), seq));
+  };
+  try {
+    detail::bb_publish_ptr(m, p.rank(), seq, &view);
+    detail::fused_sync(p, 0.0);
+    // A throw while reading (a bad peer prefix, a check in @p read) still
+    // passes the read-done phase first: peers may be reading my buffers.
+    std::exception_ptr read_error;
+    try {
+      recv_offsets.resize(np + 1);
+      recv_offsets[0] = 0;
+      for (std::size_t s = 0; s < np; ++s) {
+        const i64 n = peer(s).offsets[me + 1] - peer(s).offsets[me];
+        CHAOS_CHECK(n >= 0, "alltoallv_csr: peer send prefix is not monotone");
+        recv_offsets[s + 1] = recv_offsets[s] + n;
+      }
+      read([&](std::size_t s) {
+        return std::span<const T>(
+            peer(s).data + peer(s).offsets[me],
+            static_cast<std::size_t>(recv_offsets[s + 1] - recv_offsets[s]));
+      });
+    } catch (...) {
+      read_error = std::current_exception();
+    }
+    p.barrier_sync_only();
+    if (read_error) std::rethrow_exception(read_error);
+  } catch (...) {
+    recv_offsets.clear();
+    throw;
+  }
+
+  // The nested alltoallv's BSP charge, term for term and in the same order:
+  // every nonempty message sent, then every nonempty message received.
+  const CostParams& c = p.params();
+  i64 off_process_bytes = 0;
+  for (std::size_t d = 0; d < np; ++d) {
+    if (d == me) continue;
+    const i64 bytes = (send_offsets[d + 1] - send_offsets[d]) *
+                      static_cast<i64>(sizeof(T));
+    if (bytes > 0) {
+      p.clock().charge(c.send_us(bytes));
+      p.stats().note_send(bytes);
+      off_process_bytes += bytes;
+    }
+  }
+  for (std::size_t s = 0; s < np; ++s) {
+    if (s == me) continue;
+    const i64 bytes =
+        (recv_offsets[s + 1] - recv_offsets[s]) * static_cast<i64>(sizeof(T));
+    if (bytes > 0) {
+      p.clock().charge(c.recv_us(bytes));
+      p.stats().note_recv(bytes);
+    }
+  }
+  p.stats().note_alltoallv(off_process_bytes);
+}
+
+/// alltoallv_csr_read that copies: on return the segment from source s
+/// sits at recv[recv_offsets[s], recv_offsets[s+1]). @p recv and
+/// @p recv_offsets only grow, so a warm repeat call allocates nothing. A
+/// throw mid-exchange clears both before the rethrow — never half-written.
+template <typename T>
+void alltoallv_csr(Process& p, std::span<const T> send,
+                   std::span<const i64> send_offsets, std::vector<T>& recv,
+                   std::vector<i64>& recv_offsets) {
+  try {
+    alltoallv_csr_read<T>(
+        p, send, send_offsets, recv_offsets, [&](const auto& segment) {
+          recv.resize(static_cast<std::size_t>(recv_offsets.back()));
+          for (std::size_t s = 0; s + 1 < recv_offsets.size(); ++s) {
+            const std::span<const T> seg = segment(s);
+            if (!seg.empty()) {
+              std::memcpy(recv.data() + recv_offsets[s], seg.data(),
+                          seg.size_bytes());
+            }
+          }
+        });
+  } catch (...) {
+    recv.clear();
+    throw;
+  }
 }
 
 /// Gather variable-length blocks to @p root (others receive an empty vector;

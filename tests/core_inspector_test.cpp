@@ -3,8 +3,11 @@
 // internally consistent — swept across distributions and process counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -328,4 +331,56 @@ TEST(Localize, OutOfRangeReferenceIsRejected) {
                                   (void)core::localize(p, *d, refs);
                                 }),
                chaos::ChaosError);
+}
+
+// The dedup table is sized by the distribution's extent, not by the
+// reference count: many references into a small extent get at most one
+// cell per global, few references into a large extent a hash table over
+// the references. Either way localize stays bit-identical to a serial
+// oracle of the canonical ghost order (owners ascending, globals ascending).
+TEST(InspectorWorkspace, DedupTableIsCappedByTheExtent) {
+  struct Case {
+    i64 extent;
+    i64 nrefs;
+  };
+  for (const Case c : {Case{300, 4000}, Case{100000, 40}}) {
+    rt::Machine::run(3, [&](rt::Process& p) {
+      const auto d = dist::Distribution::block(p, c.extent);
+      chaos::wl::Rng rng(17 + static_cast<chaos::u64>(p.rank()));
+      std::vector<i64> refs(static_cast<std::size_t>(c.nrefs));
+      for (auto& g : refs) g = rng.below(c.extent);
+      core::InspectorWorkspace ws;
+      core::Localized out;
+      core::localize(p, *d, refs, ws, out);
+
+      const std::size_t keys =
+          static_cast<std::size_t>(std::min(c.extent, c.nrefs));
+      EXPECT_LE(ws.dedup_capacity(), 2 * std::bit_ceil(keys));
+      if (c.extent < c.nrefs) {
+        EXPECT_LE(ws.dedup_capacity(), static_cast<std::size_t>(c.extent));
+      }
+
+      // Oracle: owned refs keep their local index; off-process ones take
+      // ghost slots in (owner, global) order after the nlocal owned ones.
+      std::vector<std::pair<i64, i64>> ghosts;
+      for (const i64 g : refs) {
+        if (d->owner_of(g) != p.rank()) ghosts.emplace_back(d->owner_of(g), g);
+      }
+      std::sort(ghosts.begin(), ghosts.end());
+      ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
+      const i64 nlocal = d->my_local_size();
+      ASSERT_EQ(out.refs.size(), refs.size());
+      for (std::size_t i = 0; i < refs.size(); ++i) {
+        const i64 g = refs[i];
+        const i64 want =
+            d->owner_of(g) == p.rank()
+                ? d->local_index_of(g)
+                : nlocal + (std::lower_bound(ghosts.begin(), ghosts.end(),
+                                             std::pair{d->owner_of(g), g}) -
+                            ghosts.begin());
+        EXPECT_EQ(out.refs[i], want) << "ref " << i << " global " << g;
+      }
+      EXPECT_EQ(out.schedule.nghost, static_cast<i64>(ghosts.size()));
+    });
+  }
 }

@@ -37,21 +37,23 @@ std::shared_ptr<const core::GeoCol> tiny_geocol(
 
 TEST(Mapper, SetByPartitioningProducesTheIrregularMap) {
   const auto mesh = wl::mesh_tiny();
+  // A deterministic custom partitioner: vertex v -> part (v % nparts).
+  // Registered once, before the SPMD region: the registry is shared by
+  // every rank thread and is not synchronized.
+  part::PartitionerRegistry::instance().add(
+      "MOD_TEST",
+      [](rt::Process& pp, const part::GeoColView& view, int nparts) {
+        (void)pp;
+        std::vector<i64> parts(static_cast<std::size_t>(view.nlocal()));
+        const auto globals = view.vdist->my_globals();
+        for (std::size_t l = 0; l < parts.size(); ++l) {
+          parts[l] = globals[l] % nparts;
+        }
+        return parts;
+      });
   rt::Machine::run(4, [&](rt::Process& p) {
     auto reg = dist::Distribution::block(p, mesh.nnodes);
     auto g = tiny_geocol(p, mesh, reg);
-    // A deterministic custom partitioner: vertex v -> part (v % nparts).
-    part::PartitionerRegistry::instance().add(
-        "MOD_TEST", [](rt::Process& pp, const part::GeoColView& view,
-                       int nparts) {
-          (void)pp;
-          std::vector<i64> parts(static_cast<std::size_t>(view.nlocal()));
-          const auto globals = view.vdist->my_globals();
-          for (std::size_t l = 0; l < parts.size(); ++l) {
-            parts[l] = globals[l] % nparts;
-          }
-          return parts;
-        });
     auto d = core::set_by_partitioning(p, *g, "MOD_TEST");
     EXPECT_EQ(d->kind(), dist::DistKind::Irregular);
     EXPECT_EQ(d->size(), mesh.nnodes);

@@ -2,15 +2,47 @@
 // the BSP clock-synchronization contract.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <vector>
 
 #include "rt/collectives.hpp"
+#include "rt/fault.hpp"
 #include "rt/machine.hpp"
 
 namespace rt = chaos::rt;
 using chaos::f64;
 using chaos::i64;
+using chaos::u64;
+
+// Per-thread allocation counter: each rank runs on its own thread, so a rank
+// can count the heap allocations its own calls make. The hooks are kept out
+// of line so the compiler never pairs an inlined malloc()/free() with a
+// new-expression at a call site.
+namespace {
+thread_local i64 t_allocs = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_allocs;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  ++t_allocs;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 class CollectivesSweep : public ::testing::TestWithParam<int> {};
 
@@ -232,4 +264,149 @@ TEST(ExchangeCsr, RejectsReceivePrefixOverflow) {
                  chaos::ChaosError);
     rt::barrier(p);
   });
+}
+
+// --- alltoallv_csr: the one-phase CSR exchange -----------------------------
+
+namespace {
+
+/// A seeded ragged CSR from @p rank: 0..5 values per destination, with
+/// whole empty segments, each value naming (source, destination, ordinal).
+void ragged_csr(int P, int rank, u64 seed, std::vector<i64>& send,
+                std::vector<i64>& offsets) {
+  send.clear();
+  offsets.assign(1, 0);
+  for (int d = 0; d < P; ++d) {
+    const u64 h = (seed + 0x9e3779b97f4a7c15ull * static_cast<u64>(
+                                  rank * 131 + d + 1)) >> 7;
+    const i64 n = (h % 3 == 0) ? 0 : static_cast<i64>(h % 6);
+    for (i64 k = 0; k < n; ++k) send.push_back(rank * 10000 + d * 100 + k);
+    offsets.push_back(static_cast<i64>(send.size()));
+  }
+}
+
+/// What one rank saw of one exchange.
+struct ExchangeRecord {
+  std::vector<i64> data;
+  std::vector<i64> offsets;
+  f64 clock = 0.0;
+  std::vector<i64> stats;
+  u64 publishes = 0;
+  u64 barriers = 0;
+};
+
+std::vector<i64> stats_fields(const rt::MessageStats& s) {
+  return {s.messages_sent, s.bytes_sent,      s.messages_received,
+          s.bytes_received, s.collectives,    s.barriers,
+          s.alltoallv_calls, s.alltoallv_bytes};
+}
+
+/// Runs one exchange per rank, nested (@p csr false) or CSR, on a machine
+/// with a spec-free FaultPlan installed to count fault-site visits.
+std::vector<ExchangeRecord> run_exchange(int P, u64 seed, bool csr) {
+  rt::Machine m(P);
+  rt::FaultPlan plan(P);
+  m.install_fault_plan(&plan);
+  std::vector<ExchangeRecord> out(static_cast<std::size_t>(P));
+  m.run([&](rt::Process& p) {
+    std::vector<i64> send, offsets;
+    ragged_csr(P, p.rank(), seed, send, offsets);
+    p.clock().charge(1.5 * p.rank());  // ragged entry clocks
+    ExchangeRecord& r = out[static_cast<std::size_t>(p.rank())];
+    if (csr) {
+      rt::alltoallv_csr<i64>(p, send, offsets, r.data, r.offsets);
+    } else {
+      std::vector<std::vector<i64>> nested(static_cast<std::size_t>(P));
+      for (int d = 0; d < P; ++d) {
+        nested[static_cast<std::size_t>(d)].assign(
+            send.begin() + offsets[static_cast<std::size_t>(d)],
+            send.begin() + offsets[static_cast<std::size_t>(d) + 1]);
+      }
+      const auto got = rt::alltoallv(p, nested);
+      r.offsets.assign(1, 0);
+      for (const auto& seg : got) {
+        r.data.insert(r.data.end(), seg.begin(), seg.end());
+        r.offsets.push_back(static_cast<i64>(r.data.size()));
+      }
+    }
+    r.clock = p.clock().now_us();
+    r.stats = stats_fields(p.stats());
+  });
+  m.install_fault_plan(nullptr);
+  for (int r = 0; r < P; ++r) {
+    auto& rec = out[static_cast<std::size_t>(r)];
+    rec.publishes = plan.visits(rt::FaultSite::BlackboardPublish, r);
+    rec.barriers = plan.visits(rt::FaultSite::BarrierArrive, r);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST_P(CollectivesSweep, AlltoallvCsrMatchesNestedAlltoallv) {
+  const int P = GetParam();
+  for (const u64 seed : {1ull, 77ull, 4242ull}) {
+    const auto nested = run_exchange(P, seed, false);
+    const auto csr = run_exchange(P, seed, true);
+    for (int r = 0; r < P; ++r) {
+      const auto& a = nested[static_cast<std::size_t>(r)];
+      const auto& b = csr[static_cast<std::size_t>(r)];
+      EXPECT_EQ(a.data, b.data) << "rank " << r << " seed " << seed;
+      EXPECT_EQ(a.offsets, b.offsets) << "rank " << r;
+      EXPECT_EQ(std::bit_cast<u64>(a.clock), std::bit_cast<u64>(b.clock))
+          << "rank " << r << ": " << a.clock << " vs " << b.clock;
+      EXPECT_EQ(a.stats, b.stats) << "rank " << r;
+      EXPECT_EQ(a.publishes, 1u);
+      EXPECT_EQ(b.publishes, a.publishes) << "rank " << r;
+      EXPECT_EQ(b.barriers, a.barriers) << "rank " << r;
+    }
+  }
+}
+
+TEST_P(CollectivesSweep, AlltoallvCsrWarmRepeatAllocatesNothing) {
+  const int P = GetParam();
+  std::vector<i64> warm_allocs(static_cast<std::size_t>(P), -1);
+  rt::Machine::run(P, [&](rt::Process& p) {
+    std::vector<i64> send, offsets, recv, recv_offsets;
+    ragged_csr(P, p.rank(), 9, send, offsets);
+    rt::alltoallv_csr<i64>(p, send, offsets, recv, recv_offsets);
+    const std::vector<i64> first = recv;
+    const i64 before = t_allocs;
+    rt::alltoallv_csr<i64>(p, send, offsets, recv, recv_offsets);
+    warm_allocs[static_cast<std::size_t>(p.rank())] = t_allocs - before;
+    EXPECT_EQ(recv, first);
+  });
+  for (const i64 a : warm_allocs) EXPECT_EQ(a, 0);
+}
+
+TEST_P(CollectivesSweep, AlltoallvCsrClearsOutputsOnAMidExchangeThrow) {
+  const int P = GetParam();
+  // Visit 1 of each site is this exchange's publish / fused sync (after the
+  // publish): the faulted rank throws there, and its peers are released by
+  // poison. The outputs arrive holding stale data and must leave empty.
+  for (const rt::FaultSite site :
+       {rt::FaultSite::BlackboardPublish, rt::FaultSite::BarrierArrive}) {
+    rt::Machine m(P);
+    rt::FaultPlan plan(P);
+    plan.add({site, rt::FaultKind::Throw, P - 1, 1});
+    m.install_fault_plan(&plan);
+    std::vector<int> cleared(static_cast<std::size_t>(P), 0);
+    EXPECT_THROW(m.run([&](rt::Process& p) {
+                   std::vector<i64> send, offsets;
+                   ragged_csr(P, p.rank(), 5, send, offsets);
+                   std::vector<i64> recv{7, 7, 7};
+                   std::vector<i64> recv_offsets{0, 3};
+                   try {
+                     rt::alltoallv_csr<i64>(p, send, offsets, recv,
+                                            recv_offsets);
+                   } catch (...) {
+                     cleared[static_cast<std::size_t>(p.rank())] =
+                         recv.empty() && recv_offsets.empty() ? 1 : 2;
+                     throw;
+                   }
+                 }),
+                 chaos::ChaosError);
+    m.install_fault_plan(nullptr);
+    for (const int c : cleared) EXPECT_EQ(c, 1);
+  }
 }
