@@ -158,10 +158,8 @@ i64 Distribution::local_size(int rank) const {
 
 std::vector<i64> Distribution::my_globals() const {
   if (dad_.kind == DistKind::Irregular) return my_globals_;
-  std::vector<i64> out(static_cast<std::size_t>(my_local_size()));
-  for (std::size_t l = 0; l < out.size(); ++l) {
-    out[l] = global_of(my_rank_, static_cast<i64>(l));
-  }
+  std::vector<i64> out;
+  (void)my_globals_view(out);
   return out;
 }
 
@@ -173,25 +171,6 @@ std::span<const i64> Distribution::my_globals_view(
     scratch[l] = global_of(my_rank_, static_cast<i64>(l));
   }
   return scratch;
-}
-
-i64 Distribution::global_of(int rank, i64 l) const {
-  const i64 P = dad_.nprocs;
-  switch (dad_.kind) {
-    case DistKind::Block: return rank * dad_.param + l;
-    case DistKind::Cyclic: return l * P + rank;
-    case DistKind::BlockCyclic: {
-      const i64 b = dad_.param;
-      const i64 brick = (l / b) * P + rank;
-      return brick * b + l % b;
-    }
-    case DistKind::Irregular:
-      CHAOS_CHECK(rank == my_rank_,
-                  "global_of: irregular ownership is materialized only for "
-                  "this process");
-      return my_globals_[static_cast<std::size_t>(l)];
-  }
-  return -1;
 }
 
 i64 Distribution::owner_of(i64 g) const {
@@ -272,7 +251,7 @@ void Distribution::locate_flat_into(rt::Process& p,
     table_->dereference_flat(p, queries, out, ws, extra_charged_queries);
     return;
   }
-  locate_into(p, queries, out, extra_charged_queries);
+  locate_closed_form(p, queries, out, extra_charged_queries);
 }
 
 }  // namespace chaos::dist

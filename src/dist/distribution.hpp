@@ -63,7 +63,24 @@ class Distribution {
 
   /// Global index of local element @p l on process @p rank. For IRREGULAR
   /// only this process's own slice is materialized, so rank must be mine.
-  [[nodiscard]] i64 global_of(int rank, i64 l) const;
+  [[nodiscard]] i64 global_of(int rank, i64 l) const {
+    const i64 P = dad_.nprocs;
+    switch (dad_.kind) {
+      case DistKind::Block: return rank * dad_.param + l;
+      case DistKind::Cyclic: return l * P + rank;
+      case DistKind::BlockCyclic: {
+        const i64 b = dad_.param;
+        const i64 brick = (l / b) * P + rank;
+        return brick * b + l % b;
+      }
+      case DistKind::Irregular:
+        CHAOS_CHECK(rank == my_rank_,
+                    "global_of: irregular ownership is materialized only for "
+                    "this process");
+        return my_globals_[static_cast<std::size_t>(l)];
+    }
+    return -1;
+  }
   [[nodiscard]] i64 my_global_of(i64 l) const {
     return global_of(my_rank_, l);
   }
