@@ -204,15 +204,9 @@ i64 Distribution::local_index_of(i64 g) const {
 std::vector<Entry> Distribution::locate(rt::Process& p,
                                         std::span<const i64> queries) const {
   std::vector<Entry> out;
-  locate_into(p, queries, out);
-  return out;
-}
-
-void Distribution::locate_into(rt::Process& p, std::span<const i64> queries,
-                               std::vector<Entry>& out,
-                               i64 extra_charged_queries) const {
   DereferenceWorkspace ws;  // empty until an IRREGULAR dereference grows it
-  locate_into(p, queries, out, ws, extra_charged_queries);
+  locate_into(p, queries, out, ws);
+  return out;
 }
 
 void Distribution::locate_into(rt::Process& p, std::span<const i64> queries,

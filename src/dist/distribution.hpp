@@ -97,21 +97,15 @@ class Distribution {
                                           std::span<const i64> queries) const;
 
   /// Collective, allocation-aware variant: resolves into @p out (resized in
-  /// place, so a caller reusing one buffer across calls pays zero heap
-  /// allocations for regular kinds; IRREGULAR stages the table dereference
-  /// in a call-local workspace — pass one to the overload below to keep it). Same answers and identical modeled charges as
-  /// locate(). @p extra_charged_queries is model compensation folded into
-  /// the SAME clock charge as the real queries (one fused charge keeps the
-  /// virtual clock bit-identical to a single locate over queries + extras):
-  /// the dedup-first inspector passes the collapsed duplicates here.
-  void locate_into(rt::Process& p, std::span<const i64> queries,
-                   std::vector<Entry>& out,
-                   i64 extra_charged_queries = 0) const;
-
-  /// As above, with the IRREGULAR dereference staged in @p ws
-  /// (TranslationTable::dereference_into): same protocol, answers and
-  /// charge, and no heap allocation on a warm repeat call.
-  /// @p queries_distinct is the caller's promise that no query repeats.
+  /// place) with the IRREGULAR dereference staged in @p ws
+  /// (TranslationTable::dereference_into), so a caller reusing both across
+  /// calls pays zero heap allocations. Same answers and identical modeled
+  /// charges as locate(). @p extra_charged_queries is model compensation
+  /// folded into the SAME clock charge as the real queries (one fused charge
+  /// keeps the virtual clock bit-identical to a single locate over queries +
+  /// extras): the dedup-first inspector passes the collapsed duplicates
+  /// here. @p queries_distinct is the caller's promise that no query
+  /// repeats.
   void locate_into(rt::Process& p, std::span<const i64> queries,
                    std::vector<Entry>& out, DereferenceWorkspace& ws,
                    i64 extra_charged_queries = 0,
