@@ -159,7 +159,7 @@ class InspectorWorkspace {
   /// Cells of the dedup table the most recent localize used: one per global
   /// of the extent (dense), or the hash table's slots.
   [[nodiscard]] std::size_t dedup_capacity() const {
-    return dense_extent_ > 0 ? dense_extent_ : slots_.size();
+    return dense_ ? extent_ : slots_.size();
   }
 
   /// Read-only views of the most recent dedup pass (valid until the next
@@ -216,50 +216,50 @@ class InspectorWorkspace {
                                    const LocalizeSnapshot&, LocalizedMany&);
 
   /// Starts a localize over @p total references into a distribution of
-  /// @p extent globals: bumps the dedup epoch and picks the table. When the
-  /// extent is at most a few times the reference count, a table indexed by
-  /// the global itself — one 8-byte cell per global, smaller than a hash
-  /// table over the same keys and probed without hashing. Otherwise an
-  /// open-addressing table at load factor <= 1/2 over at most
-  /// min(total, extent) distinct keys. Allocates only on growth.
+  /// @p extent globals: bumps the dedup epoch and picks the table. An
+  /// open-addressing table at load factor <= 1/2 over the references (the
+  /// most distinct keys a pass can mint) takes 32 bytes per reference; when
+  /// the extent is at most 4x the references, a table indexed by the global
+  /// itself, 8 bytes per global, is no larger and is probed without
+  /// hashing. Allocates only on growth.
   void begin(std::size_t total, i64 extent) {
     CHAOS_CHECK(total < (std::size_t{1} << 32),
                 "inspector: more than 2^32 references in one localize");
-    const auto ext = static_cast<std::size_t>(std::max<i64>(extent, 0));
-    const std::size_t keys = std::min(total, ext);
+    extent_ = static_cast<std::size_t>(std::max<i64>(extent, 0));
+    dense_ = extent_ <= 4 * total;
     if (++epoch_ == 0) {  // tag wraparound: forget every stale tag
-      std::fill(dense_.begin(), dense_.end(), 0);
+      std::fill(cells_.begin(), cells_.end(), 0);
       for (DedupSlot& slot : slots_) slot.epoch = 0;
       epoch_ = 1;
     }
-    if (ext > 0 && ext <= 4 * total) {
-      if (dense_.size() < ext) dense_.resize(ext, 0);
-      dense_extent_ = ext;
-      // Only globals outside the extent (which the locate rejects later)
-      // reach the hash table in this mode.
-      if (slots_.empty()) resize_table(16);
-    } else {
-      dense_extent_ = 0;
-      if (slots_.size() < 2 * keys || slots_.empty()) resize_table(2 * keys);
+    if (dense_) {
+      if (cells_.size() < extent_) cells_.resize(extent_, 0);
+    } else if (slots_.size() < 2 * total || slots_.empty()) {
+      resize_table(2 * total);
     }
-    hashed_ = 0;
     distinct_.clear();
-    distinct_.reserve(keys);
+    distinct_.reserve(std::min(total, extent_));
     pos_ids_.resize(total);
     last_total_ = static_cast<i64>(total);
     last_distinct_ = 0;
   }
 
   /// Distinct ordinal of global @p g, minting one (first-occurrence order)
-  /// on the first sighting this epoch.
+  /// on the first sighting this epoch. A global outside the extent takes a
+  /// fresh ordinal without a table entry (the locate rejects it), so
+  /// neither table holds more keys than it was sized for.
   [[nodiscard]] u32 dedup_id(i64 g) {
-    if (static_cast<u64>(g) < dense_extent_) {
-      u64& cell = dense_[static_cast<std::size_t>(g)];
-      if ((cell >> 32) == epoch_) return static_cast<u32>(cell);
-      const auto id = static_cast<u32>(distinct_.size());
-      cell = (static_cast<u64>(epoch_) << 32) | id;
+    const auto fresh = static_cast<u32>(distinct_.size());
+    if (static_cast<u64>(g) >= extent_) {
       distinct_.push_back(g);
-      return id;
+      return fresh;
+    }
+    if (dense_) {
+      u64& cell = cells_[static_cast<std::size_t>(g)];
+      if ((cell >> 32) == epoch_) return static_cast<u32>(cell);
+      cell = (static_cast<u64>(epoch_) << 32) | fresh;
+      distinct_.push_back(g);
+      return fresh;
     }
     std::size_t s =
         static_cast<std::size_t>(dist::detail::mix64(static_cast<u64>(g))) &
@@ -267,17 +267,9 @@ class InspectorWorkspace {
     while (true) {
       DedupSlot& slot = slots_[s];
       if (slot.epoch != epoch_) {
-        // Keys can outnumber the sizing (globals outside the extent): keep
-        // the load factor <= 1/2 regardless.
-        if (2 * (hashed_ + 1) > slots_.size()) {
-          rehash(2 * slots_.size());
-          return dedup_id(g);
-        }
-        const auto id = static_cast<u32>(distinct_.size());
-        slot = DedupSlot{g, id, epoch_};
-        ++hashed_;
+        slot = DedupSlot{g, fresh, epoch_};
         distinct_.push_back(g);
-        return id;
+        return fresh;
       }
       if (slot.key == g) return slot.id;
       s = (s + 1) & mask_;
@@ -329,23 +321,6 @@ class InspectorWorkspace {
     mask_ = cap - 1;
   }
 
-  /// Grows the hash table to @p min_slots mid-pass and re-inserts this
-  /// pass's hashed globals under their ordinals.
-  void rehash(std::size_t min_slots) {
-    resize_table(min_slots);
-    hashed_ = 0;
-    for (std::size_t id = 0; id < distinct_.size(); ++id) {
-      const i64 g = distinct_[id];
-      if (static_cast<u64>(g) < dense_extent_) continue;
-      std::size_t s =
-          static_cast<std::size_t>(dist::detail::mix64(static_cast<u64>(g))) &
-          mask_;
-      while (slots_[s].epoch == epoch_) s = (s + 1) & mask_;
-      slots_[s] = DedupSlot{g, static_cast<u32>(id), epoch_};
-      ++hashed_;
-    }
-  }
-
   // Dedup tables, both epoch-tagged so a reset is one counter bump instead
   // of an O(capacity) clear. Dense: cell g holds (epoch << 32 | ordinal).
   // Hash: open addressing with splitmix64 probing; key, ordinal and tag
@@ -355,11 +330,11 @@ class InspectorWorkspace {
     u32 id = 0;
     u32 epoch = 0;
   };
-  std::vector<u64> dense_;
-  std::size_t dense_extent_ = 0;  ///< 0 = hash mode
+  std::vector<u64> cells_;
   std::vector<DedupSlot> slots_;
   std::size_t mask_ = 0;
-  std::size_t hashed_ = 0;  ///< keys in the hash table this epoch
+  std::size_t extent_ = 0;  ///< globals [0, extent_) enter a table
+  bool dense_ = false;      ///< this pass uses cells_, not slots_
   u32 epoch_ = 0;
 
   std::vector<u32> pos_ids_;    ///< distinct ordinal per reference position

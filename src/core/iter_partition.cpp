@@ -1,7 +1,5 @@
 #include "core/iter_partition.hpp"
 
-#include <algorithm>
-
 #include "core/inspector.hpp"
 #include "rt/collectives.hpp"
 
@@ -10,23 +8,9 @@ namespace chaos::core {
 namespace {
 
 /// The most frequent owner among @p votes, ties to the smallest rank: what
-/// sorting the votes and keeping the first longest run picks. A loop has a
-/// handful of reference batches, so counting pairwise beats the sort.
-i32 majority(std::span<i32> votes) {
-  if (votes.size() > 8) {
-    std::sort(votes.begin(), votes.end());
-    i32 best_proc = votes[0];
-    std::size_t best_count = 0;
-    std::size_t run = 0;
-    for (std::size_t k = 0; k < votes.size(); ++k) {
-      run = (k > 0 && votes[k] == votes[k - 1]) ? run + 1 : 1;
-      if (run > best_count) {
-        best_count = run;
-        best_proc = votes[k];
-      }
-    }
-    return best_proc;
-  }
+/// sorting the votes and keeping the first longest run would pick. A loop
+/// has a handful of reference batches, so counting pairwise is cheaper.
+i32 majority(std::span<const i32> votes) {
   i32 best_proc = votes[0];
   std::size_t best_count = 0;
   for (std::size_t k = 0; k < votes.size(); ++k) {

@@ -27,8 +27,6 @@ class DereferenceWorkspace {
 
   std::vector<i64> counts_;        ///< 2P: my per-home counts + peer counts
   std::vector<i32> home_;          ///< per query: home rank, or -1 if answered
-  std::vector<i64> tail_;          ///< P: last query seen per home
-  std::vector<u8> direct_;         ///< P: bucket arrived duplicate-free
   std::vector<i64> send_offsets_;  ///< P+1: request CSR prefix (post-dedup)
   std::vector<i64> recv_offsets_;  ///< P+1: incoming-query CSR prefix
   std::vector<i64> cursor_;        ///< P: segment fill cursors

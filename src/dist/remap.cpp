@@ -22,12 +22,13 @@ RemapPlan build_remap(rt::Process& p, const Distribution& from,
   plan.to_incarnation = to.dad().incarnation;
 
   // One batched locate of every source global against the target layout.
-  // An IRREGULAR source lends its stored slice; its queries arrive
-  // ascending, so the table resolves them without sorting.
+  // An IRREGULAR source lends its stored slice; a distribution's own
+  // globals are distinct, so the table resolves them without sorting.
   std::vector<i64> scratch;
   const auto globals = from.my_globals_view(scratch);
   std::vector<Entry> entries;
-  to.locate_into(p, globals, entries, ws);
+  to.locate_into(p, globals, entries, ws, /*extra_charged_queries=*/0,
+                 /*queries_distinct=*/true);
 
   // Sender side: source positions per destination (ascending by position, so
   // the receiver's placement list below is deterministically aligned).

@@ -181,14 +181,9 @@ void TranslationTable::dereference_into(rt::Process& p,
     return;
   }
 
-  // Pass 1: answer self-homed pages directly, count the rest per home, and
-  // note which home buckets are duplicate-free as they arrive (strictly
-  // ascending, or all of them when the caller vouches the queries are
-  // distinct) — those skip the sort and resolve by position.
+  // Pass 1: answer self-homed pages directly, count the rest per home.
   const auto np = static_cast<std::size_t>(nprocs_);
   ws.counts_.assign(np, 0);
-  ws.tail_.assign(np, -1);
-  ws.direct_.assign(np, 1);
   ws.home_.resize(queries.size());
   i64 remote_refs = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -200,13 +195,8 @@ void TranslationTable::dereference_into(rt::Process& p,
       ws.home_[i] = -1;
       continue;
     }
-    const auto h = static_cast<std::size_t>(home);
     ws.home_[i] = home;
-    ++ws.counts_[h];
-    if (!queries_distinct) {
-      if (q <= ws.tail_[h]) ws.direct_[h] = 0;
-      ws.tail_[h] = q;
-    }
+    ++ws.counts_[static_cast<std::size_t>(home)];
     ++remote_refs;
   }
   stats_.remote_queries += remote_refs;
@@ -226,20 +216,15 @@ void TranslationTable::dereference_into(rt::Process& p,
         ws.cursor_[static_cast<std::size_t>(ws.home_[i])]++)] = queries[i];
   }
 
-  // Pass 3: sort and dedup the buckets that may hold repeats, and compact
-  // every bucket left so the request buffer stays flat.
-  i64 write = 0;
-  for (std::size_t r = 0; r < np; ++r) {
-    const i64 lo = ws.send_offsets_[r];
-    const i64 hi = ws.send_offsets_[r + 1];
-    const i64 start = write;
-    if (ws.direct_[r]) {
-      if (lo != start) {
-        std::copy(ws.req_.begin() + lo, ws.req_.begin() + hi,
-                  ws.req_.begin() + start);
-      }
-      write += hi - lo;
-    } else {
+  // Pass 3: unless the caller vouches the queries are distinct, sort and
+  // dedup every bucket, compacting left so the request buffer stays flat.
+  i64 write = ws.send_offsets_[np];
+  if (!queries_distinct) {
+    write = 0;
+    for (std::size_t r = 0; r < np; ++r) {
+      const i64 lo = ws.send_offsets_[r];
+      const i64 hi = ws.send_offsets_[r + 1];
+      const i64 start = write;
       std::sort(ws.req_.begin() + lo, ws.req_.begin() + hi);
       for (i64 k = lo; k < hi; ++k) {
         if (k == lo || ws.req_[static_cast<std::size_t>(k)] !=
@@ -248,11 +233,11 @@ void TranslationTable::dereference_into(rt::Process& p,
               ws.req_[static_cast<std::size_t>(k)];
         }
       }
+      ws.counts_[r] = write - start;
     }
-    ws.counts_[r] = write - start;
-  }
-  for (std::size_t r = 0; r < np; ++r) {
-    ws.send_offsets_[r + 1] = ws.send_offsets_[r] + ws.counts_[r];
+    for (std::size_t r = 0; r < np; ++r) {
+      ws.send_offsets_[r + 1] = ws.send_offsets_[r] + ws.counts_[r];
+    }
   }
   const i64 remote = write;  // distinct remote targets (wire volume)
   stats_.wire_queries += remote;
@@ -274,9 +259,9 @@ void TranslationTable::dereference_into(rt::Process& p,
         }
       });
   // Resolve remote queries straight out of the answer segments, which are
-  // index-aligned with my request segments. A direct bucket kept arrival
-  // order, so a cursor walks its answers; the others are found by binary
-  // search.
+  // index-aligned with my request segments. Distinct queries kept arrival
+  // order, so a cursor per home walks its answers; sorted buckets are
+  // searched.
   rt::alltoallv_csr_read<Entry>(
       p, ws.reply_, ws.recv_offsets_, ws.answer_offsets_,
       [&](const auto& segment) {
@@ -285,7 +270,7 @@ void TranslationTable::dereference_into(rt::Process& p,
           if (ws.home_[i] < 0) continue;
           const auto h = static_cast<std::size_t>(ws.home_[i]);
           const std::span<const Entry> answers = segment(h);
-          if (ws.direct_[h]) {
+          if (queries_distinct) {
             out[i] = answers[static_cast<std::size_t>(ws.cursor_[h]++)];
             continue;
           }

@@ -73,12 +73,11 @@ class TranslationTable {
   /// protocol (one request and one response rt::alltoallv_csr, each charged
   /// and counted exactly as an rt::alltoallv), the same answers, stats and
   /// modeled charge, staged in @p ws so a warm repeat call allocates
-  /// nothing. A home bucket whose queries arrive strictly ascending (always
-  /// true of a distribution's own globals) skips the per-home sort and
-  /// resolves its answers by position instead of binary search; with
-  /// @p queries_distinct (the caller vouches that no query repeats, as a
-  /// dedup pass guarantees) every bucket does. The wire carries the same
-  /// number of words either way, so the modeled charge is unchanged.
+  /// nothing. With @p queries_distinct (the caller vouches that no query
+  /// repeats, as a dedup pass or a distribution's own globals guarantee)
+  /// the per-home sort is skipped and answers resolve by position instead
+  /// of binary search. The wire carries the same number of words either
+  /// way, so the modeled charge is unchanged.
   void dereference_into(rt::Process& p, std::span<const i64> queries,
                         std::vector<Entry>& out, DereferenceWorkspace& ws,
                         i64 extra_charged_queries = 0,

@@ -276,54 +276,6 @@ std::vector<T> allgatherv(Process& p, std::span<const T> local,
   return out;
 }
 
-/// Personalized all-to-all: @p send[d] goes to rank d; the result's slot [s]
-/// holds what rank s sent here. The workhorse of every CHAOS exchange.
-template <typename T>
-std::vector<std::vector<T>> alltoallv(Process& p,
-                                      const std::vector<std::vector<T>>& send) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CHAOS_CHECK(static_cast<int>(send.size()) == p.nprocs(),
-              "alltoallv: send buffer list must have one entry per rank");
-  ++p.stats().collectives;
-  Machine& m = p.machine();
-  const u64 seq = p.next_bb_seq();
-  detail::bb_publish_ptr(m, p.rank(), seq, &send);
-  detail::fused_sync(p, 0.0);
-  std::vector<std::vector<T>> out(static_cast<std::size_t>(p.nprocs()));
-  for (int s = 0; s < p.nprocs(); ++s) {
-    const auto& sb = *static_cast<const std::vector<std::vector<T>>*>(
-        detail::bb_fetch_ptr(m, s, seq));
-    out[static_cast<std::size_t>(s)] = sb[static_cast<std::size_t>(p.rank())];
-  }
-  p.barrier_sync_only();
-
-  // BSP superstep charge: clocks were equalized by the fused pass; now pay
-  // per nonempty message each way.
-  const CostParams& c = p.params();
-  i64 off_process_bytes = 0;
-  for (int d = 0; d < p.nprocs(); ++d) {
-    if (d == p.rank()) continue;
-    const i64 bytes =
-        static_cast<i64>(send[static_cast<std::size_t>(d)].size() * sizeof(T));
-    if (bytes > 0 || !send[static_cast<std::size_t>(d)].empty()) {
-      p.clock().charge(c.send_us(bytes));
-      p.stats().note_send(bytes);
-      off_process_bytes += bytes;
-    }
-  }
-  for (int s = 0; s < p.nprocs(); ++s) {
-    if (s == p.rank()) continue;
-    const i64 bytes =
-        static_cast<i64>(out[static_cast<std::size_t>(s)].size() * sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.recv_us(bytes));
-      p.stats().note_recv(bytes);
-    }
-  }
-  p.stats().note_alltoallv(off_process_bytes);
-  return out;
-}
-
 /// Fixed-size personalized exchange: @p send holds exactly one element per
 /// destination rank, @p recv receives one element per source rank. Allocates
 /// nothing — both buffers are caller-provided. Used to exchange CSR segment
@@ -367,6 +319,38 @@ struct FlatSendView {
   const T* data;
   const i64* offsets;
 };
+
+/// The BSP superstep charge of a personalized exchange, paid after its
+/// read-done phase (clocks were equalized by the fused pass): every
+/// nonempty off-process message sent, then every nonempty one received,
+/// each charged and counted, and the exchange noted once.
+/// @p send_bytes(d) and @p recv_bytes(s) give the bytes per peer.
+template <typename SendBytes, typename RecvBytes>
+void charge_alltoallv(Process& p, SendBytes&& send_bytes,
+                      RecvBytes&& recv_bytes) {
+  const CostParams& c = p.params();
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  const auto me = static_cast<std::size_t>(p.rank());
+  i64 off_process_bytes = 0;
+  for (std::size_t d = 0; d < np; ++d) {
+    if (d == me) continue;
+    const i64 bytes = send_bytes(d);
+    if (bytes > 0) {
+      p.clock().charge(c.send_us(bytes));
+      p.stats().note_send(bytes);
+      off_process_bytes += bytes;
+    }
+  }
+  for (std::size_t s = 0; s < np; ++s) {
+    if (s == me) continue;
+    const i64 bytes = recv_bytes(s);
+    if (bytes > 0) {
+      p.clock().charge(c.recv_us(bytes));
+      p.stats().note_recv(bytes);
+    }
+  }
+  p.stats().note_alltoallv(off_process_bytes);
+}
 }  // namespace detail
 
 /// Flat personalized all-to-all over CSR-sliced buffers: the segment
@@ -413,30 +397,16 @@ void alltoallv_flat(Process& p, std::span<const T> send,
   }
   p.barrier_sync_only();
 
-  const CostParams& c = p.params();
-  i64 off_process_bytes = 0;
-  for (int d = 0; d < p.nprocs(); ++d) {
-    if (d == p.rank()) continue;
-    const i64 bytes = (send_offsets[static_cast<std::size_t>(d) + 1] -
-                       send_offsets[static_cast<std::size_t>(d)]) *
-                      static_cast<i64>(sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.send_us(bytes));
-      p.stats().note_send(bytes);
-      off_process_bytes += bytes;
-    }
-  }
-  for (int s = 0; s < p.nprocs(); ++s) {
-    if (s == p.rank()) continue;
-    const i64 bytes = (recv_offsets[static_cast<std::size_t>(s) + 1] -
-                       recv_offsets[static_cast<std::size_t>(s)]) *
-                      static_cast<i64>(sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.recv_us(bytes));
-      p.stats().note_recv(bytes);
-    }
-  }
-  p.stats().note_alltoallv(off_process_bytes);
+  detail::charge_alltoallv(
+      p,
+      [&](std::size_t d) {
+        return (send_offsets[d + 1] - send_offsets[d]) *
+               static_cast<i64>(sizeof(T));
+      },
+      [&](std::size_t s) {
+        return (recv_offsets[s + 1] - recv_offsets[s]) *
+               static_cast<i64>(sizeof(T));
+      });
 }
 
 /// Personalized all-to-all of one CSR send buffer, read in place: the
@@ -448,14 +418,13 @@ void alltoallv_flat(Process& p, std::span<const T> send,
 /// valid only inside @p read, so a receiver can merge, scatter or answer
 /// straight from them without a receive copy.
 ///
-/// It runs the nested alltoallv's two phases — publish a pointer, fused
-/// sync, read, read-done — with no counts round: after the fused sync every
-/// rank reads its segment lengths off its peers' published send prefixes.
-/// It charges, counts (collectives, barriers, note_send/note_recv,
-/// note_alltoallv) and visits fault sites (one BlackboardPublish, the same
-/// BarrierArrive phases) exactly as alltoallv does, at the same points, so
-/// a caller moved onto it keeps byte-identical modeled time, MessageStats
-/// and seeded-FaultPlan behaviour.
+/// Two phases — publish a pointer, fused sync, read, read-done — with no
+/// counts round: after the fused sync every rank reads its segment lengths
+/// off its peers' published send prefixes. One collective, one
+/// BlackboardPublish visit, then the BSP charge (detail::charge_alltoallv).
+/// The nested-vector alltoallv below is this exchange over its flattened
+/// send lists, so a caller moved between the two keeps byte-identical
+/// modeled time, MessageStats and seeded-FaultPlan behaviour.
 ///
 /// Exception safety (DESIGN.md §11): a throw mid-exchange (an injected
 /// fault, a poisoned sibling, a deadline) clears @p recv_offsets before the
@@ -508,30 +477,16 @@ void alltoallv_csr_read(Process& p, std::span<const T> send,
     throw;
   }
 
-  // The nested alltoallv's BSP charge, term for term and in the same order:
-  // every nonempty message sent, then every nonempty message received.
-  const CostParams& c = p.params();
-  i64 off_process_bytes = 0;
-  for (std::size_t d = 0; d < np; ++d) {
-    if (d == me) continue;
-    const i64 bytes = (send_offsets[d + 1] - send_offsets[d]) *
-                      static_cast<i64>(sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.send_us(bytes));
-      p.stats().note_send(bytes);
-      off_process_bytes += bytes;
-    }
-  }
-  for (std::size_t s = 0; s < np; ++s) {
-    if (s == me) continue;
-    const i64 bytes =
-        (recv_offsets[s + 1] - recv_offsets[s]) * static_cast<i64>(sizeof(T));
-    if (bytes > 0) {
-      p.clock().charge(c.recv_us(bytes));
-      p.stats().note_recv(bytes);
-    }
-  }
-  p.stats().note_alltoallv(off_process_bytes);
+  detail::charge_alltoallv(
+      p,
+      [&](std::size_t d) {
+        return (send_offsets[d + 1] - send_offsets[d]) *
+               static_cast<i64>(sizeof(T));
+      },
+      [&](std::size_t s) {
+        return (recv_offsets[s + 1] - recv_offsets[s]) *
+               static_cast<i64>(sizeof(T));
+      });
 }
 
 /// alltoallv_csr_read that copies: on return the segment from source s
@@ -558,6 +513,36 @@ void alltoallv_csr(Process& p, std::span<const T> send,
     recv.clear();
     throw;
   }
+}
+
+/// Personalized all-to-all: @p send[d] goes to rank d; the result's slot [s]
+/// holds what rank s sent here. The nested-vector form of alltoallv_csr:
+/// the send lists are flattened into one CSR and each arriving segment is
+/// copied into its own vector.
+template <typename T>
+std::vector<std::vector<T>> alltoallv(Process& p,
+                                      const std::vector<std::vector<T>>& send) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto np = static_cast<std::size_t>(p.nprocs());
+  CHAOS_CHECK(send.size() == np,
+              "alltoallv: send buffer list must have one entry per rank");
+  std::vector<i64> send_offsets(np + 1, 0);
+  for (std::size_t d = 0; d < np; ++d) {
+    send_offsets[d + 1] = send_offsets[d] + static_cast<i64>(send[d].size());
+  }
+  std::vector<T> flat;
+  flat.reserve(static_cast<std::size_t>(send_offsets[np]));
+  for (const auto& seg : send) flat.insert(flat.end(), seg.begin(), seg.end());
+  std::vector<std::vector<T>> out(np);
+  std::vector<i64> recv_offsets;
+  alltoallv_csr_read<T>(p, flat, send_offsets, recv_offsets,
+                        [&](const auto& segment) {
+                          for (std::size_t s = 0; s < np; ++s) {
+                            const std::span<const T> seg = segment(s);
+                            out[s].assign(seg.begin(), seg.end());
+                          }
+                        });
+  return out;
 }
 
 /// Gather variable-length blocks to @p root (others receive an empty vector;

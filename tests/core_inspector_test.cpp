@@ -324,20 +324,24 @@ TEST(Localize, WorkspaceHandlesEmptyAllLocalAndSingleProcess) {
 }
 
 TEST(Localize, OutOfRangeReferenceIsRejected) {
-  EXPECT_THROW(rt::Machine::run(2,
-                                [](rt::Process& p) {
-                                  auto d = dist::Distribution::block(p, 10);
-                                  std::vector<i64> refs{0, 10};
-                                  (void)core::localize(p, *d, refs);
-                                }),
-               chaos::ChaosError);
+  // Few references into a large extent (hash-table dedup), then many
+  // references into a small one (direct-table dedup), repeats included.
+  for (const i64 n : {100, 4}) {
+    EXPECT_THROW(rt::Machine::run(2,
+                                  [n](rt::Process& p) {
+                                    auto d = dist::Distribution::block(p, n);
+                                    std::vector<i64> refs{0, n, n, -1, n + 7};
+                                    (void)core::localize(p, *d, refs);
+                                  }),
+                 chaos::ChaosError);
+  }
 }
 
 // The dedup table is sized by the distribution's extent, not by the
-// reference count: many references into a small extent get at most one
-// cell per global, few references into a large extent a hash table over
-// the references. Either way localize stays bit-identical to a serial
-// oracle of the canonical ghost order (owners ascending, globals ascending).
+// reference count: many references into a small extent get one cell per
+// global, few references into a large extent a hash table over the
+// references. Either way localize stays bit-identical to a serial oracle of
+// the canonical ghost order (owners ascending, globals ascending).
 TEST(InspectorWorkspace, DedupTableIsCappedByTheExtent) {
   struct Case {
     i64 extent;
@@ -353,11 +357,11 @@ TEST(InspectorWorkspace, DedupTableIsCappedByTheExtent) {
       core::Localized out;
       core::localize(p, *d, refs, ws, out);
 
-      const std::size_t keys =
-          static_cast<std::size_t>(std::min(c.extent, c.nrefs));
-      EXPECT_LE(ws.dedup_capacity(), 2 * std::bit_ceil(keys));
-      if (c.extent < c.nrefs) {
-        EXPECT_LE(ws.dedup_capacity(), static_cast<std::size_t>(c.extent));
+      if (c.extent <= 4 * c.nrefs) {
+        EXPECT_EQ(ws.dedup_capacity(), static_cast<std::size_t>(c.extent));
+      } else {
+        EXPECT_EQ(ws.dedup_capacity(),
+                  std::bit_ceil(2 * static_cast<std::size_t>(c.nrefs)));
       }
 
       // Oracle: owned refs keep their local index; off-process ones take

@@ -2,7 +2,9 @@
 // the BSP clock-synchronization contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <numeric>
@@ -341,25 +343,77 @@ std::vector<ExchangeRecord> run_exchange(int P, u64 seed, bool csr) {
   return out;
 }
 
+/// Digest of what every rank saw of one exchange: received data and prefix,
+/// clock bits, MessageStats fields and fault-site visits, rank by rank.
+u64 exchange_digest(const std::vector<ExchangeRecord>& recs) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](u64 v) { h = (h ^ v) * 0x100000001b3ull; };
+  for (const ExchangeRecord& r : recs) {
+    mix(r.data.size());
+    for (const i64 v : r.data) mix(static_cast<u64>(v));
+    for (const i64 v : r.offsets) mix(static_cast<u64>(v));
+    mix(std::bit_cast<u64>(r.clock));
+    for (const i64 v : r.stats) mix(static_cast<u64>(v));
+    mix(r.publishes);
+    mix(r.barriers);
+  }
+  return h;
+}
+
 }  // namespace
 
-TEST_P(CollectivesSweep, AlltoallvCsrMatchesNestedAlltoallv) {
+// The nested alltoallv is a wrapper over alltoallv_csr_read. These digests
+// were recorded from its earlier stand-alone nested-vector implementation,
+// and both forms must still reproduce that exchange's data, clocks, stats
+// and fault-site visits bit for bit on random ragged CSRs (empty segments,
+// P=1 included). Re-record with CHAOS_GOLDEN_RECORD=1 only when a change
+// re-baselines the charge on purpose.
+TEST_P(CollectivesSweep, AlltoallvKeepsItsRecordedOutcome) {
+  struct Golden {
+    int P;
+    u64 seed;
+    u64 digest;
+  };
+  static constexpr Golden kGolden[] = {
+      {1, 1, 0x5d651d0e95ff379dull},
+      {1, 77, 0x5d651d0e95ff379dull},
+      {1, 4242, 0xa6e27f8be505b780ull},
+      {2, 1, 0xaf9ba82fa30be45cull},
+      {2, 77, 0x4626f095d039c5dfull},
+      {2, 4242, 0x5d4dcde9ee2639b4ull},
+      {3, 1, 0xfb02996327b750d5ull},
+      {3, 77, 0x86b71dd1e16c8571ull},
+      {3, 4242, 0x5a1379f084ac444cull},
+      {4, 1, 0xd0fa625d161ba9a0ull},
+      {4, 77, 0x4011d322616901f1ull},
+      {4, 4242, 0x64e55eefbd369393ull},
+      {7, 1, 0x7d77a2471361e85dull},
+      {7, 77, 0xf30a8529a0a21277ull},
+      {7, 4242, 0x18435cc18b501d02ull},
+      {8, 1, 0x5948adc0f429f523ull},
+      {8, 77, 0xb0df5ffe240641f8ull},
+      {8, 4242, 0x99791efe2fde15eaull},
+      {16, 1, 0x3c37cf8b29a4060aull},
+      {16, 77, 0x3c0baba0460601abull},
+      {16, 4242, 0x43a0e17593f07264ull},
+  };
   const int P = GetParam();
+  const bool record = std::getenv("CHAOS_GOLDEN_RECORD") != nullptr;
   for (const u64 seed : {1ull, 77ull, 4242ull}) {
-    const auto nested = run_exchange(P, seed, false);
-    const auto csr = run_exchange(P, seed, true);
-    for (int r = 0; r < P; ++r) {
-      const auto& a = nested[static_cast<std::size_t>(r)];
-      const auto& b = csr[static_cast<std::size_t>(r)];
-      EXPECT_EQ(a.data, b.data) << "rank " << r << " seed " << seed;
-      EXPECT_EQ(a.offsets, b.offsets) << "rank " << r;
-      EXPECT_EQ(std::bit_cast<u64>(a.clock), std::bit_cast<u64>(b.clock))
-          << "rank " << r << ": " << a.clock << " vs " << b.clock;
-      EXPECT_EQ(a.stats, b.stats) << "rank " << r;
-      EXPECT_EQ(a.publishes, 1u);
-      EXPECT_EQ(b.publishes, a.publishes) << "rank " << r;
-      EXPECT_EQ(b.barriers, a.barriers) << "rank " << r;
+    const u64 got = exchange_digest(run_exchange(P, seed, false));
+    const u64 got_csr = exchange_digest(run_exchange(P, seed, true));
+    if (record) {
+      std::printf("      {%d, %llu, 0x%016llxull},\n", P,
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(got));
+      continue;
     }
+    const auto* it = std::find_if(
+        std::begin(kGolden), std::end(kGolden),
+        [&](const Golden& g) { return g.P == P && g.seed == seed; });
+    ASSERT_NE(it, std::end(kGolden)) << "no recording for P=" << P;
+    EXPECT_EQ(got, it->digest) << "nested, P=" << P << " seed " << seed;
+    EXPECT_EQ(got_csr, it->digest) << "CSR, P=" << P << " seed " << seed;
   }
 }
 
